@@ -6,7 +6,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: all build test vet lint fmt fmt-check cover bench bench-check bench-alloc bench-baseline bench-speedup race-parallel race-parallel-4 golden-gogcoff telemetry-check dist-chaos ci
+.PHONY: all build test vet lint fmt fmt-check cover bench bench-check bench-alloc bench-baseline bench-speedup race-parallel race-parallel-4 golden-gogcoff telemetry-check dist-chaos nocbench-check ci
 
 all: build
 
@@ -129,8 +129,15 @@ telemetry-check:
 dist-chaos:
 	DIST_LOG_DIR=$(CURDIR)/dist-logs $(GO) test -race -count=2 -timeout 8m ./internal/dist/
 
+# nocbench-check vets and short-tests the benchmark module. nocbench/
+# has its own go.mod (replace gonoc => ../), so the root ./... patterns
+# never build it: without this target an internal/* API change could
+# break the benchmark silently.
+nocbench-check:
+	cd nocbench && $(GO) vet ./... && $(GO) test -short ./...
+
 # ci runs bench-alloc rather than bench-check: it is the same gate
 # against the same baseline, with -benchmem columns added for free.
 # cover re-runs the race suite with -coverprofile, exactly as CI's
 # coverage step does.
-ci: build vet lint fmt-check cover race-parallel race-parallel-4 golden-gogcoff telemetry-check dist-chaos bench bench-alloc bench-speedup
+ci: build vet lint fmt-check cover race-parallel race-parallel-4 golden-gogcoff telemetry-check dist-chaos nocbench-check bench bench-alloc bench-speedup

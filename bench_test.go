@@ -386,19 +386,14 @@ func BenchmarkPerfGate(b *testing.B) {
 				// The fused engine's synchronization budget, normalized
 				// by ticked (non-fast-forwarded) cycles: exactly one
 				// barrier per multi-shard cycle without an OnEject
-				// callback, and a replay-visits count gated at zero —
-				// the credit discipline resolves every boundary link
-				// decision inside the pass (speculatively on a cycle-
-				// start credit, or via a point-to-point pops-done wait
-				// on credit exhaustion), so any nonzero replay count is
-				// a reintroduced serial section. The credit split
-				// itself (speculative deliveries vs zero-credit defers
-				// per cycle) is reported and gated too: all are
-				// deterministic work counters, so the gate pins them
-				// where wall-clock speedup would be host noise.
+				// callback. The credit split (speculative deliveries on
+				// a cycle-start credit vs zero-credit defers through the
+				// point-to-point pops-done wait, per cycle) is reported
+				// and gated too: all are deterministic work counters, so
+				// the gate pins them where wall-clock speedup would be
+				// host noise.
 				ticked := cycles - float64(perf.SkippedCycles)
 				b.ReportMetric(float64(perf.Barriers)/ticked, "barriers/cycle")
-				b.ReportMetric(float64(perf.SerialReplayVisits)/ticked, "replay-visits/cycle")
 				b.ReportMetric(float64(perf.SpeculativeDeliveries)/ticked, "spec-deliveries/cycle")
 				b.ReportMetric(float64(perf.CreditDefers)/ticked, "credit-defers/cycle")
 			}
@@ -496,12 +491,17 @@ func BenchmarkNetworkStep(b *testing.B) {
 	}
 }
 
+// noopHandler is an event target that does nothing.
+type noopHandler struct{}
+
+func (noopHandler) Fire(int) {}
+
 // BenchmarkKernelSchedule measures event scheduling + dispatch.
 func BenchmarkKernelSchedule(b *testing.B) {
 	k := sim.NewKernel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.ScheduleAfter(1, func() {})
+		k.ScheduleEvent(k.Now()+1, 0, noopHandler{}, 0)
 		k.Step()
 	}
 }

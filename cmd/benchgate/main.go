@@ -144,59 +144,64 @@ func collect(r io.Reader) (map[string]float64, error) {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes one benchgate invocation: args are the command-line
+// flags, stdin the default bench stream, and the report goes to out. A
+// gate failure (a regressed or missing metric, a speedup below the
+// floor) is returned as an error, as is any I/O or parse failure.
+func run(args []string, stdin io.Reader, out io.Writer) error {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	var (
-		baselinePath = flag.String("baseline", "bench-baseline.json", "committed baseline file")
-		inputPath    = flag.String("input", "", "bench output (go test -json stream); default stdin")
-		update       = flag.Bool("update", false, "rewrite the baseline's values from the observed run")
-		speedupLog   = flag.String("speedup-log", "", "append the knee-parallel speedup record to this JSON history instead of gating")
-		label        = flag.String("label", "local", "record label for -speedup-log (e.g. the PR or commit)")
-		speedupMin   = flag.Float64("speedup-min", 0, "with -speedup-log: fail unless the freshly measured knee speedup reaches this minimum (skipped when the host has fewer cores than shards)")
-		labelPrefix  = flag.String("label-prefix", "", "with -speedup-min: enforce the minimum only when the record label starts with this prefix (empty = always)")
+		baselinePath = fs.String("baseline", "bench-baseline.json", "committed baseline file")
+		inputPath    = fs.String("input", "", "bench output (go test -json stream); default stdin")
+		update       = fs.Bool("update", false, "rewrite the baseline's values from the observed run")
+		speedupLog   = fs.String("speedup-log", "", "append the knee-parallel speedup record to this JSON history instead of gating")
+		label        = fs.String("label", "local", "record label for -speedup-log (e.g. the PR or commit)")
+		speedupMin   = fs.Float64("speedup-min", 0, "with -speedup-log: fail unless the freshly measured knee speedup reaches this minimum (skipped when the host has fewer cores than shards)")
+		labelPrefix  = fs.String("label-prefix", "", "with -speedup-min: enforce the minimum only when the record label starts with this prefix (empty = always)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	in := stdin
+	if *inputPath != "" {
+		f, err := os.Open(*inputPath)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		in = f
+	}
 
 	if *speedupLog != "" {
-		in := io.Reader(os.Stdin)
-		if *inputPath != "" {
-			f, err := os.Open(*inputPath)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			in = f
-		}
-		rec, err := appendSpeedup(*speedupLog, *label, in)
+		rec, err := appendSpeedup(out, *speedupLog, *label, in)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		checkSpeedupMin(rec, *speedupMin, *labelPrefix)
-		return
+		return checkSpeedupMin(out, rec, *speedupMin, *labelPrefix)
 	}
 
 	raw, err := os.ReadFile(*baselinePath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var base Baseline
 	if err := json.Unmarshal(raw, &base); err != nil {
-		fatal(fmt.Errorf("parsing %s: %w", *baselinePath, err))
+		return fmt.Errorf("parsing %s: %w", *baselinePath, err)
 	}
 	if base.Tolerance <= 0 {
 		base.Tolerance = 0.15
 	}
 
-	in := io.Reader(os.Stdin)
-	if *inputPath != "" {
-		f, err := os.Open(*inputPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		in = f
-	}
 	got, err := collect(in)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *update {
@@ -204,20 +209,20 @@ func main() {
 			e := &base.Entries[i]
 			v, ok := got[e.Bench+"\x00"+e.Metric]
 			if !ok {
-				fatal(fmt.Errorf("no observation for %s %s", e.Bench, e.Metric))
+				return fmt.Errorf("no observation for %s %s", e.Bench, e.Metric)
 			}
 			e.Value = v
 		}
-		out, err := json.MarshalIndent(base, "", "  ")
+		data, err := json.MarshalIndent(base, "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*baselinePath, out, 0o644); err != nil {
-			fatal(err)
+		data = append(data, '\n')
+		if err := os.WriteFile(*baselinePath, data, 0o644); err != nil {
+			return err
 		}
-		fmt.Printf("benchgate: %s updated (%d entries)\n", *baselinePath, len(base.Entries))
-		return
+		fmt.Fprintf(out, "benchgate: %s updated (%d entries)\n", *baselinePath, len(base.Entries))
+		return nil
 	}
 
 	results := make([]result, 0, len(base.Entries))
@@ -247,15 +252,15 @@ func main() {
 	if failed == 0 {
 		for _, r := range results {
 			if r.measured < r.entry.Value*(1-r.tol) {
-				fmt.Printf("ok   %-28s %-14s %.6g improved past baseline %.6g — consider -update\n",
+				fmt.Fprintf(out, "ok   %-28s %-14s %.6g improved past baseline %.6g — consider -update\n",
 					r.entry.Bench, r.entry.Metric, r.measured, r.entry.Value)
 				continue
 			}
-			fmt.Printf("ok   %-28s %-14s %.6g (baseline %.6g, tolerance %.0f%%)\n",
+			fmt.Fprintf(out, "ok   %-28s %-14s %.6g (baseline %.6g, tolerance %.0f%%)\n",
 				r.entry.Bench, r.entry.Metric, r.measured, r.entry.Value, r.tol*100)
 		}
-		fmt.Printf("benchgate: %d metric(s) within tolerance\n", len(base.Entries))
-		return
+		fmt.Fprintf(out, "benchgate: %d metric(s) within tolerance\n", len(base.Entries))
+		return nil
 	}
 
 	// On failure, print every gated metric as a table sorted worst
@@ -263,7 +268,7 @@ func main() {
 	// which counters moved together (one regressed scenario) versus a
 	// single metric drifting on its own.
 	sort.SliceStable(results, func(i, j int) bool { return results[i].delta > results[j].delta })
-	fmt.Printf("%-4s %-28s %-20s %14s %14s %10s %8s\n",
+	fmt.Fprintf(out, "%-4s %-28s %-20s %14s %14s %10s %8s\n",
 		"", "benchmark", "metric", "baseline", "measured", "delta", "tol")
 	for _, r := range results {
 		status := "ok"
@@ -274,11 +279,10 @@ func main() {
 		if r.missing {
 			measured, delta = "missing", "—"
 		}
-		fmt.Printf("%-4s %-28s %-20s %14.6g %14s %10s %7.0f%%\n",
+		fmt.Fprintf(out, "%-4s %-28s %-20s %14.6g %14s %10s %7.0f%%\n",
 			status, r.entry.Bench, r.entry.Metric, r.entry.Value, measured, delta, r.tol*100)
 	}
-	fmt.Printf("benchgate: %d metric(s) regressed\n", failed)
-	os.Exit(1)
+	return fmt.Errorf("%d metric(s) regressed", failed)
 }
 
 // result is one gated metric's evaluation against its baseline entry.
@@ -314,7 +318,7 @@ type speedupRecord struct {
 // label replaces that record in place rather than appending, so
 // repeated local runs and per-commit CI re-runs keep the history one
 // record per label instead of accreting duplicates.
-func appendSpeedup(path, label string, in io.Reader) (speedupRecord, error) {
+func appendSpeedup(out io.Writer, path, label string, in io.Reader) (speedupRecord, error) {
 	got, err := collect(in)
 	if err != nil {
 		return speedupRecord{}, err
@@ -379,15 +383,15 @@ func appendSpeedup(path, label string, in io.Reader) (speedupRecord, error) {
 	if !replaced {
 		history = append(history, rec)
 	}
-	out, err := json.MarshalIndent(history, "", "  ")
+	data, err := json.MarshalIndent(history, "", "  ")
 	if err != nil {
 		return speedupRecord{}, err
 	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
+	data = append(data, '\n')
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return speedupRecord{}, err
 	}
-	fmt.Printf("benchgate: %s %s {label %s, %d shards, gomaxprocs %d, speedup %.3gx} (%d records)\n",
+	fmt.Fprintf(out, "benchgate: %s %s {label %s, %d shards, gomaxprocs %d, speedup %.3gx} (%d records)\n",
 		path, verb, rec.Label, rec.Shards, rec.GOMAXPROCS, rec.Speedup, len(history))
 	return rec, nil
 }
@@ -399,26 +403,21 @@ func appendSpeedup(path, label string, in io.Reader) (speedupRecord, error) {
 // engine cannot beat serial without the cores, and the deterministic
 // counters in the main gate already cover correctness there) — CI
 // pins GOMAXPROCS=4 on a 4-core runner, so the check bites exactly
-// where the number is meaningful.
-func checkSpeedupMin(rec speedupRecord, min float64, prefix string) {
+// where the number is meaningful. A speedup below the floor is
+// returned as an error.
+func checkSpeedupMin(out io.Writer, rec speedupRecord, min float64, prefix string) error {
 	if min <= 0 || !strings.HasPrefix(rec.Label, prefix) {
-		return
+		return nil
 	}
 	if rec.NumCPU < rec.Shards {
-		fmt.Printf("benchgate: speedup gate skipped: %d CPUs < %d shards — wall-clock speedup is not meaningful on this host\n",
+		fmt.Fprintf(out, "benchgate: speedup gate skipped: %d CPUs < %d shards — wall-clock speedup is not meaningful on this host\n",
 			rec.NumCPU, rec.Shards)
-		return
+		return nil
 	}
 	if rec.Speedup < min {
-		fmt.Fprintf(os.Stderr,
-			"benchgate: knee speedup %.3gx below the %.3gx floor (label %s, %d shards, gomaxprocs %d, numcpu %d)\n",
+		return fmt.Errorf("knee speedup %.3gx below the %.3gx floor (label %s, %d shards, gomaxprocs %d, numcpu %d)",
 			rec.Speedup, min, rec.Label, rec.Shards, rec.GOMAXPROCS, rec.NumCPU)
-		os.Exit(1)
 	}
-	fmt.Printf("benchgate: knee speedup %.3gx meets the %.3gx floor\n", rec.Speedup, min)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchgate:", err)
-	os.Exit(1)
+	fmt.Fprintf(out, "benchgate: knee speedup %.3gx meets the %.3gx floor\n", rec.Speedup, min)
+	return nil
 }

@@ -22,11 +22,13 @@
 // kernel pools its event records behind the closure-free
 // handler-scheduling API (sim.Handler), generators batch all same-cycle
 // arrivals of a source into one event, and campaigns reuse one
-// network/kernel/collector workspace across replications. A
-// domain-decomposed parallel engine (noc.EngineParallel, exposed as
-// -step-parallel and exp.Runner.StepShards) additionally runs each
-// Step's phases across contiguous router shards with deterministic
-// barriers, so a lone saturation point can use the whole machine. The
+// network/kernel/collector workspace across replications. The phase
+// kernel works on router shards: the default engine runs it as one
+// shard covering every router, and the domain-decomposed parallel
+// engine (noc.EngineParallel, exposed as -step-parallel and
+// exp.Runner.StepShards) runs the same phase functions across several
+// contiguous shards with deterministic barriers, so a lone saturation
+// point can use the whole machine. The
 // original scan-everything engine is retained (noc.EngineSweep) and
 // golden cross-engine tests prove engines (parallel included, at every
 // shard count), pooling modes and workspace reuse all produce

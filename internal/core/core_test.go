@@ -38,6 +38,37 @@ func TestScenarioValidate(t *testing.T) {
 	}
 }
 
+// Non-finite rates and cycle windows whose total wraps around uint64
+// must be rejected up front: NaN slips past a sign check, and a wrapped
+// total would run zero cycles and report an empty result as success.
+func TestScenarioValidateRejectsNonFiniteAndOverflow(t *testing.T) {
+	good := NewScenario(Spidergon, 8, UniformTraffic, 0.01)
+	cases := []struct {
+		name   string
+		mutate func(*Scenario)
+		ok     bool
+	}{
+		{"nan-lambda", func(s *Scenario) { s.Lambda = math.NaN() }, false},
+		{"pos-inf-lambda", func(s *Scenario) { s.Lambda = math.Inf(1) }, false},
+		{"neg-inf-lambda", func(s *Scenario) { s.Lambda = math.Inf(-1) }, false},
+		{"zero-lambda", func(s *Scenario) { s.Lambda = 0 }, true},
+		{"window-wraps", func(s *Scenario) { s.Warmup, s.Measure = 1, math.MaxUint64 }, false},
+		{"warmup-wraps", func(s *Scenario) { s.Warmup, s.Measure = math.MaxUint64, 1 }, false},
+		{"window-at-max", func(s *Scenario) { s.Warmup, s.Measure = 1, math.MaxUint64-1 }, true},
+	}
+	for _, c := range cases {
+		s := good
+		c.mutate(&s)
+		err := s.Validate()
+		if c.ok && err != nil {
+			t.Errorf("%s: valid scenario rejected: %v", c.name, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("%s: invalid scenario %s (warmup %d, measure %d) accepted", c.name, s.Label(), s.Warmup, s.Measure)
+		}
+	}
+}
+
 func TestScenarioBuildKinds(t *testing.T) {
 	for _, kind := range []TopologyKind{Ring, Spidergon, Mesh, IrregularMesh, FactorMesh} {
 		s := NewScenario(kind, 12, UniformTraffic, 0.01)

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"gonoc/internal/analysis"
 	"gonoc/internal/noc"
@@ -279,11 +280,20 @@ func (s Scenario) Validate() error {
 	if s.Nodes < 2 {
 		return fmt.Errorf("core: %d nodes", s.Nodes)
 	}
+	// NaN fails every ordered comparison, so test finiteness first: a
+	// NaN or infinite rate would pass the sign check below and make the
+	// generator emit without bound.
+	if math.IsNaN(s.Lambda) || math.IsInf(s.Lambda, 0) {
+		return fmt.Errorf("core: non-finite lambda %v", s.Lambda)
+	}
 	if s.Lambda < 0 {
 		return fmt.Errorf("core: negative lambda %v", s.Lambda)
 	}
 	if s.Measure == 0 {
 		return fmt.Errorf("core: zero measurement window")
+	}
+	if s.Warmup > math.MaxUint64-s.Measure {
+		return fmt.Errorf("core: warm-up %d + measurement %d cycles overflows", s.Warmup, s.Measure)
 	}
 	if err := s.Config.Validate(); err != nil {
 		return err

@@ -14,28 +14,34 @@
 //
 // # Engines
 //
-// Three interchangeable engines implement Step. The default
-// activity-driven engine (active.go) drains per-phase worklists —
-// bitmap active sets over routers and sources, updated exactly where
-// flits move — so a cycle costs time proportional to in-flight work
-// rather than network size, and a fully quiescent network can
-// fast-forward across idle cycles via SkipTo. EngineParallel
-// (parallel.go) runs ejection, switch+inject and link as ONE fused
-// shard-local pass over contiguous router shards with a single
-// sense-reversing barrier per cycle (two only when an OnEject
-// callback forces the ejection span to split off). Cross-shard link
-// decisions resolve inside the pass through per-(port,VC) credit
-// counters snapshotted at each barrier: a positive credit proves
-// downstream room and the flit travels speculatively through a
-// per-shard-pair mailbox; a spent credit waits point-to-point for the
-// downstream shard's pops-done mark and re-reads exact occupancy.
-// Each shard drains its inbound mailboxes at the end of its own pass
-// in canonical sender order, so cycle-boundary state is bit-identical
-// to the serial engines and the barrier's serial section only merges
-// counters and refreshes credits — it never replays a link decision
-// or moves a flit. EngineSweep is the original scan-everything
-// reference; the cross-engine tests prove all three produce
-// bit-identical results for every scenario class.
+// Three interchangeable engines implement Step, two of them with one
+// code path. The activity-driven phase kernel (active.go) drains
+// per-phase worklists — bitmap active sets over routers and sources,
+// updated exactly where flits move — so a cycle costs time
+// proportional to in-flight work rather than network size, and a fully
+// quiescent network can fast-forward across idle cycles via SkipTo.
+// The worklists belong to the shards of a decomposition. The default
+// engine, EngineActive, is the one-shard case: a single shard covering
+// every router, with no workers, barriers, mailboxes or credit waits.
+// Its cycle is an ejection pass whose tail completions are replayed
+// after it, a switch+inject pass whose collector events are deferred
+// to the cycle end, and a link pass. EngineParallel (parallel.go) runs
+// the same phase functions as ONE fused shard-local pass over several
+// contiguous router shards with a single sense-reversing barrier per
+// cycle (two only when an OnEject callback forces the ejection span to
+// split off). Cross-shard link decisions resolve inside the pass
+// through per-(port,VC) credit counters snapshotted at each barrier: a
+// positive credit proves downstream room and the flit travels
+// speculatively through a per-shard-pair mailbox; a spent credit waits
+// point-to-point for the downstream shard's pops-done mark and re-reads
+// exact occupancy. Each shard drains its inbound mailboxes at the end
+// of its own pass in canonical sender order, so cycle-boundary state is
+// bit-identical to the one-shard run and the barrier's serial section
+// only merges counters and refreshes credits — it never replays a link
+// decision or moves a flit. EngineSweep is the original scan-everything
+// reference, kept as separate code so it can serve as the oracle; the
+// cross-engine tests prove all three produce bit-identical results for
+// every scenario class.
 //
 // # Arena and handle layout
 //

@@ -200,9 +200,9 @@ func TestCheckActiveInvariantsCatchesStranding(t *testing.T) {
 		t.Fatal("expected in-flight flits")
 	}
 	// Knock every router off the worklists behind the engine's back.
-	net.wl.ej.clear()
-	net.wl.sw.clear()
-	net.wl.out.clear()
+	net.dec.shards[0].wl.ej.clear()
+	net.dec.shards[0].wl.sw.clear()
+	net.dec.shards[0].wl.out.clear()
 	if err := net.CheckConservation(); err == nil {
 		t.Fatal("conservation check missed a stranded flit")
 	}

@@ -48,24 +48,25 @@ type Network struct {
 	moved        bool // any flit progress in the current cycle
 
 	// engine selects the Step implementation (see active.go and
-	// parallel.go); the activity-driven worklists belong to
-	// EngineActive (the parallel engine keeps one worklists set per
-	// shard instead). The per-slot occupancy masks live on each router.
+	// parallel.go). The per-slot occupancy masks live on each router;
+	// the phase worklists live on the shards of the running
+	// decomposition.
 	engine   Engine
-	wl       worklists // EngineActive's global phase worklists
-	visits   uint64    // per-phase router/source worklist visits
-	skipped  uint64    // cycles fast-forwarded by SkipTo
-	barriers uint64    // parallel-engine worker barriers crossed
-	sreplays uint64    // boundary ports replayed in the serial section (retired: always 0 since credits)
-	specs    uint64    // cross-shard flits delivered speculatively on credit
-	cdefers  uint64    // zero-credit link decisions synchronized in-pass
+	visits   uint64 // per-phase router/source worklist visits
+	skipped  uint64 // cycles fast-forwarded by SkipTo
+	barriers uint64 // parallel-engine worker barriers crossed
+	specs    uint64 // cross-shard flits delivered speculatively on credit
+	cdefers  uint64 // zero-credit link decisions synchronized in-pass
 
-	// Domain decomposition state of EngineParallel (parallel.go):
-	// shards own contiguous router ranges (shardOf is the inverse
-	// table), pr is the running worker group, shardCount the configured
-	// width.
-	shards     []parShard
-	shardOf    []int32
+	// Domain decompositions of the phase kernel (active.go,
+	// parallel.go): serial is the one-shard decomposition EngineActive
+	// runs, multi the shardCount-wide one of EngineParallel, and dec the
+	// one Step drives. Both persist across Reset, so workspace reuse
+	// rebuilds neither. pr is the running worker group, shardCount the
+	// configured width.
+	serial     decomposition
+	multi      decomposition
+	dec        *decomposition
 	shardCount int
 	pr         *parRun
 	// modTab[d] == cycle % d for every registered round-robin divisor
@@ -105,7 +106,7 @@ type Network struct {
 	consScratch []uint64
 	poolScratch []uint64
 	// invIn/invEj/invOut are the reusable scratch masks of the worklist
-	// invariant check (checkActiveInvariants rebuilds each router's
+	// invariant check (checkWorklistInvariants rebuilds each router's
 	// occupancy from the buffers into these instead of allocating).
 	invIn, invEj, invOut slotMask
 	// onEject, when set, runs for every fully consumed packet.
@@ -166,10 +167,9 @@ func NewNetwork(t topology.Topology, a routing.Algorithm, cfg Config, col *stats
 		nis[v].sending = -1
 		n.nis = append(n.nis, &nis[v])
 	}
-	n.wl = newWorklists(t.Nodes())
 	// Resolve each output channel's downstream port once, and register
 	// the round-robin divisors (per-router slot and port counts) with
-	// the incremental modulo table the active engine derives its
+	// the incremental modulo table the phase kernel derives its
 	// rotation pointers from.
 	seen := make(map[int]bool)
 	addDiv := func(d int) {
@@ -192,6 +192,8 @@ func NewNetwork(t topology.Topology, a routing.Algorithm, cfg Config, col *stats
 	}
 	sort.Ints(n.modDivs)
 	n.modTab = make([]uint32, n.modDivs[len(n.modDivs)-1]+1)
+	n.serial = n.newDecomposition(1)
+	n.dec = &n.serial
 	return n, nil
 }
 
@@ -364,19 +366,17 @@ func (n *Network) canDepart(q *outVC) bool {
 // ejection, switch traversal, source injection, link traversal — each
 // move a flit at most one stage, and a per-flit cycle stamp prevents a
 // flit from advancing through two stages in one cycle. The default
-// engine visits only active routers and sources (active.go); the
-// parallel engine (parallel.go) executes the same phases shard-parallel
-// with deterministic barriers; the sweep engine below scans everything
-// and serves as the golden reference both are tested against.
+// engine runs the activity-driven phase kernel (active.go) as one
+// shard; the parallel engine runs the same kernel over several shards
+// with deterministic barriers (parallel.go); the sweep engine below
+// scans everything and serves as the golden reference both are tested
+// against.
 func (n *Network) Step() {
-	switch n.engine {
-	case EngineSweep:
+	if n.engine == EngineSweep {
 		n.stepSweep()
-	case EngineParallel:
-		n.stepParallel()
-	default:
-		n.stepActive()
+		return
 	}
+	n.stepShards()
 }
 
 // stepSweep is the reference per-cycle sweep over all routers.
@@ -665,7 +665,7 @@ func (n *Network) IdleCycles() uint64 {
 
 // CheckConservation verifies no flit was lost or duplicated: every
 // created packet is queued, in flight, or fully ejected, and in-flight
-// flit counts match packet bookkeeping. Under the active engine it
+// flit counts match packet bookkeeping. Under the phase kernel it
 // additionally proves the worklist bookkeeping: every buffered flit and
 // pending packet is reachable from its phase's active set (a flit off
 // its worklist would be stranded forever). The arena invariants are
@@ -685,7 +685,7 @@ func (n *Network) CheckConservation() error {
 	if err := n.checkHandles(); err != nil {
 		return err
 	}
-	if err := n.checkActiveInvariants(); err != nil {
+	if err := n.checkWorklistInvariants(); err != nil {
 		return err
 	}
 	a := &n.arena
@@ -710,13 +710,8 @@ func (n *Network) CheckConservation() error {
 	}
 	seen := n.consScratch
 	distinct := uint64(0)
-	vcs := n.alg.VCs()
 	note := func(h flitH) error {
-		pi := h.pkt()
-		if pi < 0 || int(pi) >= a.len() || h.seq() >= a.pktLen || h.vc() >= vcs {
-			return fmt.Errorf("noc: invalid flit handle %#x buffered (arena %d records, packet len %d, %d VCs)",
-				uint64(h), a.len(), a.pktLen, vcs)
-		}
+		pi := h.pkt() // in range: checkHandles validated every buffered handle
 		if a.free[pi] {
 			return fmt.Errorf("noc: pooled packet %s still buffered (double free)", n.pktString(pi))
 		}
@@ -937,10 +932,8 @@ func (n *Network) Reset() {
 	n.created, n.ejected, n.injected, n.recycled = 0, 0, 0, 0
 	n.lastActivity, n.moved = 0, false
 	n.visits, n.skipped = 0, 0
-	n.barriers, n.sreplays = 0, 0
-	n.specs, n.cdefers = 0, 0
+	n.barriers, n.specs, n.cdefers = 0, 0, 0
 	n.onEject = nil
-	n.wl.clear()
 	n.resetShards()
 	n.rebuildModTab()
 }

@@ -105,13 +105,6 @@ type PerfStats struct {
 	// zero for the serial engines and the single-shard decomposition.
 	// Deterministic, so the perf gate pins the synchronization budget.
 	Barriers uint64
-	// SerialReplayVisits counts cross-shard boundary ports whose link
-	// decision was replayed in the cycle-end serial section. Retired by
-	// the credit discipline — every boundary decision now resolves
-	// inside the pass, so this stays 0 — but kept (and gated at 0 in
-	// bench-baseline.json) as a strict regression guard: any future
-	// change that reintroduces serial replay fails the perf gate.
-	SerialReplayVisits uint64
 	// SpeculativeDeliveries counts cross-shard flits delivered on an
 	// unexpired cycle-start credit — the fraction of boundary traffic
 	// that required no synchronization at all. Deterministic: whether a
@@ -121,7 +114,7 @@ type PerfStats struct {
 	// CreditDefers counts zero-credit boundary link decisions: the port
 	// waited for the downstream shard's pops-done mark and re-read
 	// exact occupancy inside the pass. The deterministic measure of
-	// residual cross-shard coupling (successor of SerialReplayVisits).
+	// residual cross-shard coupling.
 	CreditDefers uint64
 }
 
@@ -133,7 +126,6 @@ func (n *Network) Perf() PerfStats {
 		SkippedCycles:         n.skipped,
 		LiveStateBytes:        n.LiveStateBytes(),
 		Barriers:              n.barriers,
-		SerialReplayVisits:    n.sreplays,
 		SpeculativeDeliveries: n.specs,
 		CreditDefers:          n.cdefers,
 	}

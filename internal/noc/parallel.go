@@ -11,13 +11,13 @@ import (
 	"gonoc/internal/prof"
 )
 
-// This file is the domain-decomposed parallel engine behind
-// Network.Step: EngineParallel splits the routers into a fixed set of
-// contiguous shards and executes the whole cycle — ejection, switch
-// traversal + injection, link traversal — as ONE fused shard-local pass
-// per worker, meeting a single barrier per cycle, while producing
-// results bit-identical to EngineActive (and hence EngineSweep) at
-// every shard count.
+// This file is the multi-shard machinery of the phase kernel
+// (active.go): EngineParallel splits the routers into a fixed set of
+// contiguous shards and executes the kernel's whole cycle — ejection,
+// switch traversal + injection, link traversal — as ONE fused
+// shard-local pass per worker, meeting a single barrier per cycle,
+// while producing results bit-identical to the one-shard run of
+// EngineActive (and hence EngineSweep) at every shard count.
 //
 // The fusion rests on the conservative-PDES lookahead of the model: a
 // cross-shard effect (a link traversal into another shard's input
@@ -41,16 +41,14 @@ import (
 //     the slot still has room at the serial decision point, so the
 //     flit departs speculatively on the spot; a zero credit means only
 //     the owner's pops this cycle can have made room, so the port
-//     synchronizes point-to-point — it waits (parRun.awaitPops) until
+//     synchronizes point-to-point — it waits (parRun.awaitMark) until
 //     the downstream shard publishes that all its pops of the pass are
 //     done (popsDone, stored between its switch+inject and link
 //     phases) and then re-reads exact occupancy, which is precisely
 //     the check the serial link sweep performs. Both outcomes
 //     reproduce the serial decision bit-exactly, and neither involves
-//     the serial section: the cycle-end replay of deferred boundary
-//     ports that predated credits is gone (SerialReplayVisits is
-//     retired at 0 and gated there). The two outcomes are counted by
-//     the SpeculativeDeliveries and CreditDefers perf counters.
+//     the serial section. The two outcomes are counted by the
+//     SpeculativeDeliveries and CreditDefers perf counters.
 //   - Cross-shard link DELIVERY: the departing flit is appended to a
 //     per-shard-pair mailbox (outbox, one writer and one reader per
 //     pair, preallocated). The RECEIVING shard drains its inboxes
@@ -63,7 +61,8 @@ import (
 //     keeps Reset trivial: no flit is ever parked in a mailbox across
 //     a barrier. The serial section never touches mailboxes.
 //   - Ejection completions: statistics and the arena recycle are
-//     deferred per shard and replayed in canonical order at the barrier.
+//     deferred per shard and replayed in canonical order at the barrier
+//     (the one-shard run defers them the same way, see stepShards).
 //     Without an OnEject callback this is unobservable mid-cycle (no
 //     lease or collector event happens between the ejection and the
 //     barrier), so the fused single-barrier cycle applies. WITH a
@@ -125,11 +124,18 @@ import (
 // synchronization overhead and the residual serial section directly.
 // Unprofiled runs skip the labels entirely (nil-context check).
 
-// parShard is one domain of the decomposition: a contiguous router
-// range, its private phase worklists, per-cycle scratch counters, the
+// decomposition is one partition of the routers into contiguous shards
+// with ranges [s·N/K, (s+1)·N/K); shardOf is the inverse lookup table.
+type decomposition struct {
+	shards  []shard
+	shardOf []int32
+}
+
+// shard is one domain of a decomposition: a contiguous router range,
+// its private phase worklists, per-cycle scratch counters, the
 // deferred-effect buffers, and the precomputed boundary geometry.
-type parShard struct {
-	idx    int // shard index (== position in Network.shards)
+type shard struct {
+	idx    int // shard index (== position in decomposition.shards)
 	lo, hi int // owned router range [lo, hi)
 	wl     worklists
 
@@ -138,16 +144,20 @@ type parShard struct {
 	cdefers uint64 // zero-credit synchronized link decisions this cycle
 	moved   bool   // any flit progress this cycle, merged at cycle end
 
+	// accepted and blocked count this cycle's injection-phase collector
+	// events — packets whose head entered the network, and sources
+	// refused a ready flit — replayed at cycle end. The collector
+	// accumulates both into order-independent counters, so a count per
+	// kind replays them exactly.
+	accepted, blocked uint64
+
 	// ej holds this cycle's fully ejected packets (arena indices) in
 	// pop order; the barrier replays them (statistics, OnEject, arena
 	// recycle) in shard order == ascending node order.
 	ej []int32
-	// stats holds this cycle's injection-phase collector events in
-	// visit order, replayed at cycle end.
-	stats []statRecord
 
 	// bports lists this shard's cross-shard output ports in canonical
-	// (ascending node, port) order — precomputed by buildShards, so
+	// (ascending node, port) order — precomputed by newDecomposition, so
 	// neither the per-cycle code nor the invariant checker re-derives
 	// the cut geometry.
 	bports []bport
@@ -183,13 +193,6 @@ type bport struct {
 // mailbox-growth tests pin down.
 const initialMailboxCap = 4
 
-// statRecord is one deferred injection-phase collector event: a packet
-// acceptance (injected, with its flit count) or a source-blocked cycle.
-type statRecord struct {
-	injected bool
-	flits    int
-}
-
 // pushRecord is one cross-shard link traversal in flight between a
 // sender's link phase and the receiver's end-of-pass drain: flit handle
 // h arrives in input port p, virtual channel vc, of router node.
@@ -207,7 +210,7 @@ const (
 	passRest         // switch/inject + link (OnEject cycles)
 )
 
-// parRun is the worker group of a running parallel network: one
+// parRun is the worker group of a running multi-shard network: one
 // goroutine per shard beyond shard 0, released through a generation
 // barrier once (or, with an OnEject callback, twice) per cycle, plus
 // the per-shard intra-pass progress marks the credit discipline
@@ -246,7 +249,7 @@ type parRun struct {
 
 // setLabel switches the calling goroutine's pprof labels to ctx when
 // phase attribution is armed. On the coordinator this temporarily
-// replaces the caller's own labels during Step; stepParallel restores
+// replaces the caller's own labels during Step; stepWorkers restores
 // the empty set before returning.
 func (pr *parRun) setLabel(ctx context.Context) {
 	if ctx != nil {
@@ -292,7 +295,8 @@ func spinBudget(shards int) int {
 // shards from shrinking below the size where the per-cycle barrier
 // costs more than the shard's phase work; a result of 1 means the
 // network is too small to decompose profitably and callers collapse to
-// the serial engine. Results are bit-identical at every count, so the
+// the serial engine (EngineParallel itself then runs the one-shard
+// decomposition). Results are bit-identical at every count, so the
 // default only affects speed.
 func defaultShards(nodes int) int {
 	k := runtime.GOMAXPROCS(0)
@@ -326,38 +330,28 @@ func (n *Network) SetShards(k int) {
 	if n.engine == EngineParallel {
 		n.StopWorkers()
 		n.buildShards()
-		n.rebuildParallelSets()
+		n.rebuildSets()
 	}
 }
 
 // Shards returns the configured shard count (0 when never configured).
 func (n *Network) Shards() int { return n.shardCount }
 
-// buildShards (re)allocates the shard array for the configured count,
-// with ranges [s·N/K, (s+1)·N/K), the inverse lookup table, each
-// shard's canonical boundary-port and sender lists, the per-pair
-// mailboxes and the boundary ports' credit arrays. An already-built
-// decomposition of the same width is kept — its worklist bitmaps,
-// boundary lists and mailbox capacity stay warm across workspace reuse
-// (the caller re-derives the worklist contents either way).
-func (n *Network) buildShards() {
+// newDecomposition builds the k-shard decomposition: the shard ranges,
+// the inverse lookup table, each shard's canonical boundary-port and
+// sender lists, the per-pair mailboxes and the boundary ports' credit
+// arrays. k == 1 yields the serial engine's decomposition: one shard
+// covering every router, with no boundary port, sender or mailbox.
+func (n *Network) newDecomposition(k int) decomposition {
 	nodes := n.topo.Nodes()
-	k := n.shardCount
-	if len(n.shards) == k && len(n.shardOf) == nodes {
-		return
-	}
-	n.shards = make([]parShard, k)
-	if cap(n.shardOf) < nodes {
-		n.shardOf = make([]int32, nodes)
-	}
-	n.shardOf = n.shardOf[:nodes]
+	d := decomposition{shards: make([]shard, k), shardOf: make([]int32, nodes)}
 	for s := 0; s < k; s++ {
-		sh := &n.shards[s]
+		sh := &d.shards[s]
 		sh.idx = s
 		sh.lo, sh.hi = s*nodes/k, (s+1)*nodes/k
 		sh.wl = newWorklists(nodes)
 		for v := sh.lo; v < sh.hi; v++ {
-			n.shardOf[v] = int32(s)
+			d.shardOf[v] = int32(s)
 		}
 	}
 	// Second pass (shardOf must be complete): precompute the canonical
@@ -365,17 +359,17 @@ func (n *Network) buildShards() {
 	// counters on every cross-shard port.
 	vcs := n.alg.VCs()
 	for s := 0; s < k; s++ {
-		sh := &n.shards[s]
+		sh := &d.shards[s]
 		sh.outbox = make([][]pushRecord, k)
 		for v := sh.lo; v < sh.hi; v++ {
 			for _, op := range n.routers[v].out {
-				if int(n.shardOf[op.ch.Dst]) != s {
+				if int(d.shardOf[op.ch.Dst]) != s {
 					sh.bports = append(sh.bports, bport{node: int32(v), op: op})
 				}
 			}
 		}
 		for _, bp := range sh.bports {
-			t := n.shardOf[bp.op.ch.Dst]
+			t := d.shardOf[bp.op.ch.Dst]
 			if sh.outbox[t] == nil {
 				sh.outbox[t] = make([]pushRecord, 0, initialMailboxCap)
 			}
@@ -387,39 +381,46 @@ func (n *Network) buildShards() {
 	// Third pass (every outbox allocated): each shard's ascending list
 	// of inbound senders — the mailboxes its end-of-pass drain reads.
 	for s := 0; s < k; s++ {
-		sh := &n.shards[s]
-		sh.senders = sh.senders[:0]
+		sh := &d.shards[s]
 		for u := 0; u < k; u++ {
-			if u != s && n.shards[u].outbox[s] != nil {
+			if u != s && d.shards[u].outbox[s] != nil {
 				sh.senders = append(sh.senders, int32(u))
 			}
 		}
 	}
+	return d
 }
 
-// rebuildParallelSets recomputes the slot masks, distributes every
-// node's worklist membership to its owning shard, and refreshes the
-// boundary credits — the parallel counterpart of rebuildActiveSets,
-// run on engine entry and whenever the decomposition changes.
-func (n *Network) rebuildParallelSets() {
-	for i := range n.shards {
-		n.shards[i].wl.clear()
+// buildShards points Step at the decomposition of the configured width:
+// the persistent one-shard decomposition at width 1, otherwise the
+// multi-shard one, rebuilt only when its width changed — so its
+// worklist bitmaps, boundary lists and mailbox capacity stay warm
+// across workspace reuse (the caller re-derives the worklist contents
+// either way).
+func (n *Network) buildShards() {
+	if n.shardCount == 1 {
+		n.dec = &n.serial
+		return
 	}
-	n.rebuildWorklists(func(node int) *worklists { return &n.shards[n.shardOf[node]].wl })
-	n.refreshBoundaryCredits()
+	if len(n.multi.shards) != n.shardCount {
+		n.multi = n.newDecomposition(n.shardCount)
+	}
+	n.dec = &n.multi
 }
 
-// resetShards clears the per-shard worklists and scratch and restores
-// the boundary credits during Network.Reset (which has just emptied
-// every buffer), keeping the shard geometry and the deferred buffers'
-// backing arrays, and parks the worker group (a reset network may next
-// run under a different engine, or not at all). Mailboxes are empty at
-// every cycle boundary — the receiving shard drained them inside the
-// pass — so no in-flight flit can be stranded here.
+// resetShards clears the running decomposition's worklists and scratch
+// and restores its boundary credits during Network.Reset (which has
+// just emptied every buffer), keeping the shard geometry and the
+// deferred buffers' backing arrays, and parks the worker group (a reset
+// network may next run under a different engine, or not at all). A
+// decomposition that is not running is rebuilt by rebuildSets before
+// its next use. Mailboxes are empty at every cycle boundary — the
+// receiving shard drained them inside the pass — so no in-flight flit
+// can be stranded here.
 func (n *Network) resetShards() {
 	n.StopWorkers()
-	for i := range n.shards {
-		s := &n.shards[i]
+	for i := range n.dec.shards {
+		s := &n.dec.shards[i]
 		s.wl.clear()
 		s.visits, s.specs, s.cdefers, s.moved = 0, 0, 0, false
 		s.clearScratch()
@@ -430,22 +431,22 @@ func (n *Network) resetShards() {
 // clearScratch empties the deferred buffers, keeping capacity (the
 // records are plain integers and port pointers into long-lived router
 // structures, so no references need dropping).
-func (s *parShard) clearScratch() {
+func (s *shard) clearScratch() {
 	s.ej = s.ej[:0]
-	s.stats = s.stats[:0]
+	s.accepted, s.blocked = 0, 0
 	for t := range s.outbox {
 		s.outbox[t] = s.outbox[t][:0]
 	}
 }
 
 // startWorkers launches the worker group: one goroutine per shard
-// beyond shard 0. Workers are lazy — the first parallel Step starts
+// beyond shard 0. Workers are lazy — the first multi-shard Step starts
 // them — and park between cycles, so they cost nothing while the
 // network idles between runs. Phase-attribution labels are armed here
 // iff a CPU profile is already running, so the CLIs' profile-then-run
 // order picks them up and unprofiled runs skip the label machinery.
 func (n *Network) startWorkers() {
-	k := len(n.shards)
+	k := len(n.dec.shards)
 	pr := &parRun{
 		spin:     spinBudget(k),
 		parked:   make([]atomic.Bool, k-1),
@@ -498,7 +499,7 @@ func (n *Network) StopWorkers() {
 // on pending, and exits when the stop flag accompanies a release.
 func (n *Network) shardWorker(i int, pr *parRun) {
 	defer pr.wg.Done()
-	s := &n.shards[i]
+	s := &n.dec.shards[i]
 	last := uint64(0)
 	for {
 		pr.setLabel(pr.labelWait)
@@ -512,7 +513,7 @@ func (n *Network) shardWorker(i int, pr *parRun) {
 		case passFused:
 			n.runFusedPass(s, g)
 		case passEject:
-			n.parEject(s)
+			n.ejectShard(s)
 		default: // passRest
 			n.runRestPass(s, g)
 		}
@@ -581,26 +582,17 @@ func (pr *parRun) await() {
 	}
 }
 
-// awaitPops blocks until shard t has published its pops-done mark for
-// pass generation g — a point-to-point wait a zero-credit boundary
-// port pays before re-reading exact downstream occupancy. It never
-// parks: t publishes the mark unconditionally partway through the same
-// pass the waiter is in, so the wait is bounded by t's pass prefix.
-func (pr *parRun) awaitPops(t int, g uint64) {
-	for spin := 0; pr.popsDone[t].Load() < g; spin++ {
-		if spin >= pr.spin {
-			runtime.Gosched()
-		}
-	}
-}
-
-// awaitLink blocks until shard u has published its link-done mark for
-// pass generation g, after which u's mailbox appends of this pass are
-// complete (and ordered before the load). Receivers call it for each
-// inbound sender before draining; every shard publishes its own mark
-// before waiting on anyone, so the waits cannot cycle.
-func (pr *parRun) awaitLink(u int, g uint64) {
-	for spin := 0; pr.linkDone[u].Load() < g; spin++ {
+// awaitMark blocks until shard s has published pass generation g in
+// marks — a point-to-point wait on one shard's progress. On popsDone it
+// is the wait a zero-credit boundary port pays before re-reading exact
+// downstream occupancy; on linkDone, the wait a receiver pays for each
+// inbound sender before draining, after which the sender's mailbox
+// appends of this pass are complete (and ordered before the load). It
+// never parks: every shard publishes both marks unconditionally on
+// every pass before it can itself wait, so the waits cannot cycle and
+// are bounded by the awaited shard's pass prefix.
+func (pr *parRun) awaitMark(marks []atomic.Uint64, s int, g uint64) {
+	for spin := 0; marks[s].Load() < g; spin++ {
 		if spin >= pr.spin {
 			runtime.Gosched()
 		}
@@ -608,8 +600,8 @@ func (pr *parRun) awaitLink(u int, g uint64) {
 }
 
 // runFusedPass executes one shard's full single-barrier cycle body.
-func (n *Network) runFusedPass(s *parShard, g uint64) {
-	n.parEject(s)
+func (n *Network) runFusedPass(s *shard, g uint64) {
+	n.ejectShard(s)
 	n.runRestPass(s, g)
 }
 
@@ -618,17 +610,18 @@ func (n *Network) runFusedPass(s *parShard, g uint64) {
 // points — popsDone after the last input-buffer pop of the pass,
 // linkDone after the last mailbox append — and finally draining the
 // shard's own inboxes (complete once every sender's linkDone is in).
-func (n *Network) runRestPass(s *parShard, g uint64) {
-	n.parSwitchInject(s)
+func (n *Network) runRestPass(s *shard, g uint64) {
+	n.switchInjectShard(s)
 	pr := n.pr
 	pr.popsDone[s.idx].Store(g)
-	n.parLink(s, g)
+	n.linkShard(s, g)
 	pr.linkDone[s.idx].Store(g)
 	n.drainInboxes(s, g)
 }
 
-// stepParallel advances one cycle under the domain decomposition. The
-// common shape (no OnEject callback) is the single-barrier fused cycle:
+// stepWorkers advances one cycle of a multi-shard decomposition in the
+// worker group. The common shape (no OnEject callback) is the
+// single-barrier fused cycle:
 //
 //	fused pass (parallel)  ejection → switch+inject → link → inbox
 //	                       drain per shard; ejection/stat completions
@@ -643,26 +636,13 @@ func (n *Network) runRestPass(s *parShard, g uint64) {
 //	ejection pass (parallel) → barrier: replay (stats → OnEject →
 //	recycle) → switch+inject+link+drain pass (parallel) → barrier:
 //	cycle-end serial section as above
-func (n *Network) stepParallel() {
-	n.moved = false
-	if len(n.shards) == 1 {
-		// Degenerate single-shard decomposition: same machinery minus
-		// the workers, barriers and credit waits (no port crosses a
-		// shard boundary) — still exercises the pass and replay code.
-		s := &n.shards[0]
-		n.parEject(s)
-		n.replayEjections()
-		n.parSwitchInject(s)
-		n.parLink(s, 0)
-		n.finishParallelCycle()
-		return
-	}
+func (n *Network) stepWorkers() {
 	if n.pr == nil {
 		n.startWorkers()
 	}
 	pr := n.pr
-	workers := len(n.shards) - 1
-	s0 := &n.shards[0]
+	workers := len(n.dec.shards) - 1
+	s0 := &n.dec.shards[0]
 	if n.onEject == nil {
 		g := pr.release(passFused, workers)
 		pr.setLabel(pr.labelPass)
@@ -675,7 +655,7 @@ func (n *Network) stepParallel() {
 	} else {
 		pr.release(passEject, workers)
 		pr.setLabel(pr.labelPass)
-		n.parEject(s0)
+		n.ejectShard(s0)
 		pr.setLabel(pr.labelWait)
 		pr.await()
 		n.barriers++
@@ -689,264 +669,8 @@ func (n *Network) stepParallel() {
 		n.barriers++
 		pr.setLabel(pr.labelSerial)
 	}
-	n.finishParallelCycle()
+	n.finishCycle()
 	pr.setLabel(pr.labelNone)
-}
-
-// parEject mirrors activeEject over one shard's ejection worklist,
-// deferring every tail-ejection completion: the pops, mask updates and
-// per-packet receive accounting are shard-local (a packet's flits all
-// eject at its unique destination), while statistics, the OnEject
-// callback and the arena recycle run in the serial replay.
-func (n *Network) parEject(s *parShard) {
-	vcs := n.alg.VCs()
-	a := &n.arena
-	tail := a.pktLen - 1
-	s.wl.ej.forEach(func(node int) {
-		r := n.routers[node]
-		s.visits++
-		budget := n.cfg.SinkRate
-		np := len(r.in)
-		if np == 0 {
-			return
-		}
-		slots := np * vcs
-		rrEj := int(n.modTab[slots])
-		for k := 0; k < slots && budget > 0; k++ {
-			sl := rrEj + k
-			if sl >= slots {
-				sl -= slots
-			}
-			p := r.in[sl/vcs]
-			vc := sl % vcs
-			if !r.ejOcc.test(p.slotBase + vc) {
-				continue
-			}
-			for budget > 0 && !p.empty(vc) && a.dst[p.head(vc).pkt()] == int32(r.node) {
-				h := n.inPop(&s.wl, node, r, p, vc)
-				pi := h.pkt()
-				n.telEj[node]++
-				budget--
-				s.moved = true
-				a.recv[pi]++
-				if h.seq() == tail {
-					s.ej = append(s.ej, pi)
-				}
-			}
-		}
-	})
-}
-
-// replayEjections applies the deferred ejection completions in shard
-// order — which, shards being contiguous and each buffer append-ordered
-// by the ascending-node walk, is exactly the serial engines' ejection
-// order. Statistics, the OnEject callback (whose reply injections may
-// lease from the arena and land in any shard's source worklist) and the
-// recycle therefore interleave precisely as in EngineActive. In the
-// fused (callback-free) cycle this runs at the cycle-end barrier: no
-// lease, recycle or collector event can occur between a tail ejection
-// and the barrier, so deferring the completions there is unobservable.
-func (n *Network) replayEjections() {
-	a := &n.arena
-	for i := range n.shards {
-		s := &n.shards[i]
-		for _, pi := range s.ej {
-			n.ejected++
-			n.col.PacketEjected(n.cycle, a.created[pi], a.injected[pi], a.pktLen, int(a.hops[pi]))
-			if n.onEject != nil {
-				n.materializePacket(&n.ejView, pi)
-				n.onEject(&n.ejView)
-			}
-			n.recyclePacket(pi)
-		}
-		s.ej = s.ej[:0]
-	}
-}
-
-// parSwitchInject runs the switch-traversal and injection phases over
-// one shard. Fusing them into one span is sound because both phases
-// read and write only the state of the visited router and its NI — the
-// serial engines' global phase boundary orders nothing that two
-// different routers could observe.
-func (n *Network) parSwitchInject(s *parShard) {
-	vcs := n.alg.VCs()
-	s.wl.sw.forEach(func(node int) {
-		r := n.routers[node]
-		s.visits++
-		np := len(r.in)
-		rrIn := int(n.modTab[np])
-		for k := 0; k < np; k++ {
-			p := r.in[(rrIn+k)%np]
-			occ := r.inOcc.port(p.slotBase, vcs) &^ r.ejOcc.port(p.slotBase, vcs)
-			if occ == 0 {
-				continue
-			}
-			if n.switchPort(&s.wl, r, p, occ, vcs) {
-				s.moved = true
-			}
-		}
-	})
-	n.parInject(s)
-}
-
-// parInject mirrors activeInject over one shard's sources, deferring
-// the collector events (packet acceptances, source-blocked cycles) to
-// the end-of-cycle replay; everything else — source queue, worm state,
-// the output-queue pushes, the packet's injection stamp (its source is
-// unique to this shard) — is local to the shard.
-func (n *Network) parInject(s *parShard) {
-	a := &n.arena
-	s.wl.ni.forEach(func(node int) {
-		q := n.nis[node]
-		r := n.routers[node]
-		s.visits++
-		budget := n.cfg.InjectRate
-		for budget > 0 {
-			if q.sending < 0 {
-				if q.queue.len() == 0 {
-					break
-				}
-				q.sending = q.queue.pop()
-				q.nextSeq = 0
-				q.vc = 0
-				q.route = routeEntry{}
-			}
-			pi := q.sending
-			if q.nextSeq == 0 && !q.route.active {
-				d := n.route(r, pi, 0)
-				op := r.outPortByDir(d.Dir)
-				if op == nil {
-					panic(fmt.Sprintf("noc: %s chose missing direction %v at source %d for %s",
-						n.alg.Name(), d.Dir, node, n.pktString(pi)))
-				}
-				ovc := op.vcs[d.VC]
-				if n.canAdmit(ovc) {
-					ovc.owner = pi
-					q.route = routeEntry{active: true, port: op, vc: d.VC}
-				} else {
-					s.stats = append(s.stats, statRecord{})
-					break
-				}
-			}
-			ovc := q.route.port.vcs[q.route.vc]
-			if ovc.full(n.cfg.OutBufCap) {
-				s.stats = append(s.stats, statRecord{})
-				break
-			}
-			h := mkFlit(pi, q.nextSeq, q.route.vc)
-			a.lastMove[a.flitIndex(h)] = n.cycle + 1
-			n.outPush(&s.wl, node, r, q.route.port, q.route.vc, h)
-			n.telInj[node]++
-			s.moved = true
-			q.nextSeq++
-			budget--
-			if h.seq() == 0 {
-				a.injected[pi] = n.cycle
-				s.stats = append(s.stats, statRecord{injected: true, flits: a.pktLen})
-			}
-			if h.seq() == a.pktLen-1 {
-				ovc.owner = -1
-				q.sending = -1
-				q.route = routeEntry{}
-			}
-		}
-		if q.sending < 0 && q.queue.len() == 0 {
-			s.wl.ni.remove(node)
-		}
-	})
-}
-
-// parLink mirrors activeLink over one shard's link worklist. Arrivals
-// into a router of the same shard are applied directly with exact
-// occupancy checks (all of this shard's pops already ran in the fused
-// pass, and no other shard pushes into this shard's input slots).
-// Cross-shard arrivals use the credit discipline of parLinkPort.
-func (n *Network) parLink(s *parShard, g uint64) {
-	vcs := n.alg.VCs()
-	rrVC := int(n.modTab[vcs]) // every port has alg.VCs() queues
-	s.wl.out.forEach(func(node int) {
-		r := n.routers[node]
-		s.visits++
-		for _, op := range r.out {
-			occ := r.outOcc.port(op.slotBase, vcs)
-			if occ == 0 {
-				continue
-			}
-			n.parLinkPort(s, node, r, op, occ, vcs, rrVC, g)
-		}
-	})
-}
-
-// parLinkPort mirrors linkPort under the fused pass. For a same-shard
-// destination the downstream fullness read is exact (see parLink). For
-// a cross-shard destination the decision consults the cycle-start
-// credit counter (outPort.credits[vc]): a positive count proves the
-// slot still has room at the serial decision point (its occupancy can
-// only have shrunk — the single producer is this port), so the flit
-// departs on the spot; a zero count means the owner's pops this cycle
-// decide, so the port waits for the downstream shard's popsDone mark
-// and re-reads exact occupancy — the identical check the serial link
-// sweep performs, now resolved inside the pass instead of a cycle-end
-// serial replay. Either way the delivery itself travels through the
-// pair mailbox (pushing into a foreign shard's bookkeeping directly
-// would race with its own pass) and is drained by the receiving shard
-// at the end of its pass. Both outcomes reproduce the serial
-// round-robin decision exactly.
-func (n *Network) parLinkPort(s *parShard, node int, r *router, op *outPort, occ uint64, vcs, rr int, g uint64) {
-	a := &n.arena
-	for k := 0; k < vcs; k++ {
-		vi := rr + k
-		if vi >= vcs {
-			vi -= vcs
-		}
-		if occ&(1<<uint(vi)) == 0 {
-			continue
-		}
-		v := op.vcs[vi]
-		h := v.head()
-		fi := a.flitIndex(h)
-		if a.lastMove[fi] >= n.cycle+1 {
-			continue
-		}
-		if !n.canDepart(v) {
-			continue
-		}
-		dst := op.ch.Dst
-		if t := int(n.shardOf[dst]); t != s.idx {
-			if op.credits[vi] > 0 {
-				op.credits[vi]--
-				s.specs++
-			} else {
-				s.cdefers++
-				n.pr.awaitPops(t, g)
-				if op.peer.full(vi, n.cfg.InBufCap) {
-					continue
-				}
-			}
-			n.outPop(&s.wl, node, r, op, vi)
-			a.lastMove[fi] = n.cycle + 1
-			if h.seq() == 0 {
-				a.hops[h.pkt()]++
-			}
-			n.linkFlits[op.ch.ID]++
-			s.outbox[t] = append(s.outbox[t], pushRecord{node: dst, p: op.peer, vc: vi, h: h})
-			s.moved = true
-			return // one flit per physical link per cycle
-		}
-		ip := op.peer
-		if ip.full(vi, n.cfg.InBufCap) {
-			continue
-		}
-		n.outPop(&s.wl, node, r, op, vi)
-		a.lastMove[fi] = n.cycle + 1
-		if h.seq() == 0 {
-			a.hops[h.pkt()]++
-		}
-		n.linkFlits[op.ch.ID]++
-		n.inPush(&s.wl, dst, op.peerRouter, ip, vi, h)
-		s.moved = true
-		return // one flit per physical link per cycle
-	}
 }
 
 // drainInboxes applies the cross-shard arrivals addressed to this shard
@@ -960,16 +684,16 @@ func (n *Network) parLinkPort(s *parShard, node int, r *router, op *outPort, occ
 // already decided. Emptying the mailboxes inside the pass keeps every
 // cycle-boundary observer (fingerprints, telemetry, conservation,
 // Reset) oblivious to the mailbox mechanism.
-func (n *Network) drainInboxes(s *parShard, g uint64) {
+func (n *Network) drainInboxes(s *shard, g uint64) {
 	if len(s.senders) == 0 {
 		return
 	}
 	pr := n.pr
 	for _, u := range s.senders {
-		pr.awaitLink(int(u), g)
+		pr.awaitMark(pr.linkDone, int(u), g)
 	}
 	for _, u := range s.senders {
-		src := &n.shards[u]
+		src := &n.dec.shards[u]
 		box := src.outbox[s.idx]
 		for _, rec := range box {
 			n.inPush(&s.wl, rec.node, n.routers[rec.node], rec.p, rec.vc, rec.h)
@@ -986,8 +710,9 @@ func (n *Network) drainInboxes(s *parShard, g uint64) {
 // every cycle boundary (an invariant CheckConservation enforces).
 func (n *Network) refreshBoundaryCredits() {
 	bufCap := n.cfg.InBufCap
-	for i := range n.shards {
-		s := &n.shards[i]
+	shards := n.dec.shards
+	for i := range shards {
+		s := &shards[i]
 		for _, bp := range s.bports {
 			ip := bp.op.peer
 			for vc := range ip.bufs {
@@ -997,52 +722,10 @@ func (n *Network) refreshBoundaryCredits() {
 	}
 }
 
-// finishParallelCycle is the end-of-cycle serial section — all that
-// remains of it after the credit discipline moved the boundary-port
-// decisions and the mailbox applies into the passes: replay the
-// deferred injection statistics, merge the per-shard scratch counters,
-// close the cycle exactly as stepActive does, and refresh the boundary
-// credits for the next cycle's speculation.
-func (n *Network) finishParallelCycle() {
-	for i := range n.shards {
-		s := &n.shards[i]
-		for _, st := range s.stats {
-			if st.injected {
-				n.injected++
-				n.col.PacketInjected(n.cycle, st.flits)
-			} else {
-				n.col.SourceBlocked(n.cycle)
-			}
-		}
-		s.stats = s.stats[:0]
-		if s.moved {
-			n.moved = true
-			s.moved = false
-		}
-		n.visits += s.visits
-		s.visits = 0
-		n.specs += s.specs
-		s.specs = 0
-		n.cdefers += s.cdefers
-		s.cdefers = 0
-	}
-	if n.moved {
-		n.lastActivity = n.cycle
-	}
-	n.cycle++
-	for _, d := range n.modDivs {
-		v := n.modTab[d] + 1
-		if v == uint32(d) {
-			v = 0
-		}
-		n.modTab[d] = v
-	}
-	n.refreshBoundaryCredits()
-}
-
-// checkParallelInvariants proves the cross-shard bookkeeping the
-// parallel engine adds on top of the per-node worklist invariants: the
-// shard ranges tile the node space as the pure assignment function
+// checkShardInvariants proves the running decomposition's bookkeeping
+// on top of the per-node worklist invariants: its width is the
+// engine's (one shard for EngineActive, the configured count for
+// EngineParallel), the shard ranges tile the node space as the pure assignment function
 // dictates, no shard's worklists hold a node outside its range (a
 // foreign member would be drained by the wrong goroutine), the
 // precomputed boundary-port lists name exactly the cross-shard output
@@ -1057,14 +740,18 @@ func (n *Network) finishParallelCycle() {
 // this proves cross-shard conservation: every flit that left one
 // shard's output queue arrived in the owning shard's input bookkeeping
 // the same cycle.
-func (n *Network) checkParallelInvariants() error {
+func (n *Network) checkShardInvariants() error {
 	nodes := n.topo.Nodes()
-	k := n.shardCount
-	if k < 1 || len(n.shards) != k {
-		return fmt.Errorf("noc: parallel engine with %d shards configured but %d built", k, len(n.shards))
+	d := n.dec
+	k := 1
+	if n.engine == EngineParallel {
+		k = n.shardCount
 	}
-	for i := range n.shards {
-		s := &n.shards[i]
+	if k < 1 || len(d.shards) != k || len(d.shardOf) != nodes {
+		return fmt.Errorf("noc: %v engine with %d shards configured but %d built", n.engine, k, len(d.shards))
+	}
+	for i := range d.shards {
+		s := &d.shards[i]
 		if s.lo != i*nodes/k || s.hi != (i+1)*nodes/k {
 			return fmt.Errorf("noc: shard %d covers [%d,%d), want [%d,%d)", i, s.lo, s.hi, i*nodes/k, (i+1)*nodes/k)
 		}
@@ -1080,12 +767,12 @@ func (n *Network) checkParallelInvariants() error {
 			})
 			if bad >= 0 {
 				return fmt.Errorf("noc: node %d on shard %d's %s worklist but owned by shard %d",
-					bad, i, set.name, n.shardOf[bad])
+					bad, i, set.name, d.shardOf[bad])
 			}
 		}
-		if len(s.ej) != 0 || len(s.stats) != 0 {
-			return fmt.Errorf("noc: shard %d holds unreplayed deferred effects at a cycle boundary (%d ejections, %d stats)",
-				i, len(s.ej), len(s.stats))
+		if len(s.ej) != 0 || s.accepted != 0 || s.blocked != 0 {
+			return fmt.Errorf("noc: shard %d holds unreplayed deferred effects at a cycle boundary (%d ejections, %d accepted, %d blocked)",
+				i, len(s.ej), s.accepted, s.blocked)
 		}
 		if len(s.outbox) != k {
 			return fmt.Errorf("noc: shard %d has %d mailboxes for %d shards", i, len(s.outbox), k)
@@ -1105,7 +792,7 @@ func (n *Network) checkParallelInvariants() error {
 		bi := 0
 		for v := s.lo; v < s.hi; v++ {
 			for _, op := range n.routers[v].out {
-				if int(n.shardOf[op.ch.Dst]) == i {
+				if int(d.shardOf[op.ch.Dst]) == i {
 					continue
 				}
 				if bi >= len(s.bports) || s.bports[bi].op != op || int(s.bports[bi].node) != v {
@@ -1143,8 +830,8 @@ func (n *Network) checkParallelInvariants() error {
 				continue
 			}
 			has := false
-			for _, bp := range n.shards[u].bports {
-				if int(n.shardOf[bp.op.ch.Dst]) == i {
+			for _, bp := range d.shards[u].bports {
+				if int(d.shardOf[bp.op.ch.Dst]) == i {
 					has = true
 					break
 				}
@@ -1165,8 +852,8 @@ func (n *Network) checkParallelInvariants() error {
 		}
 	}
 	for v := 0; v < nodes; v++ {
-		if want := ((v+1)*k - 1) / nodes; int(n.shardOf[v]) != want {
-			return fmt.Errorf("noc: shardOf[%d] = %d, want %d", v, n.shardOf[v], want)
+		if want := ((v+1)*k - 1) / nodes; int(d.shardOf[v]) != want {
+			return fmt.Errorf("noc: shardOf[%d] = %d, want %d", v, d.shardOf[v], want)
 		}
 	}
 	return nil

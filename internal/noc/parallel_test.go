@@ -263,59 +263,59 @@ func TestParallelInvariantsCatchCorruption(t *testing.T) {
 	}
 
 	par := build()
-	for i := range par.shards {
-		par.shards[i].wl.ej.clear()
-		par.shards[i].wl.sw.clear()
-		par.shards[i].wl.out.clear()
+	for i := range par.dec.shards {
+		par.dec.shards[i].wl.ej.clear()
+		par.dec.shards[i].wl.sw.clear()
+		par.dec.shards[i].wl.out.clear()
 	}
 	if err := par.CheckConservation(); err == nil {
 		t.Fatal("conservation check missed a stranded flit")
 	}
 
 	par = build()
-	par.shards[0].wl.ni.add(15) // node 15 belongs to shard 3
+	par.dec.shards[0].wl.ni.add(15) // node 15 belongs to shard 3
 	if err := par.CheckConservation(); err == nil {
 		t.Fatal("conservation check missed a foreign worklist member")
 	}
 
 	par = build()
-	par.shards[2].stats = append(par.shards[2].stats, statRecord{})
+	par.dec.shards[2].blocked = 1
 	if err := par.CheckConservation(); err == nil {
 		t.Fatal("conservation check missed an unreplayed deferred effect")
 	}
 
 	par = build()
-	par.shards[0].outbox[1] = append(par.shards[0].outbox[1], pushRecord{})
+	par.dec.shards[0].outbox[1] = append(par.dec.shards[0].outbox[1], pushRecord{})
 	if err := par.CheckConservation(); err == nil {
 		t.Fatal("conservation check missed an undelivered mailbox record")
 	}
 
 	par = build()
-	par.shards[1].cdefers = 1
+	par.dec.shards[1].cdefers = 1
 	if err := par.CheckConservation(); err == nil {
 		t.Fatal("conservation check missed an unmerged credit-defer scratch counter")
 	}
 
 	par = build()
-	if len(par.shards[0].bports) == 0 {
+	if len(par.dec.shards[0].bports) == 0 {
 		t.Fatal("expected cross-shard boundary ports on shard 0")
 	}
-	par.shards[0].bports[0].op.credits[0]++
+	par.dec.shards[0].bports[0].op.credits[0]++
 	if err := par.CheckConservation(); err == nil {
 		t.Fatal("conservation check missed a stale boundary credit counter")
 	}
 
 	par = build()
-	par.shards[0].bports[0].op.credits[0] = -1
+	par.dec.shards[0].bports[0].op.credits[0] = -1
 	if err := par.CheckConservation(); err == nil {
 		t.Fatal("conservation check missed a credit overdraft")
 	}
 
 	par = build()
-	if len(par.shards[1].senders) == 0 {
+	if len(par.dec.shards[1].senders) == 0 {
 		t.Fatal("expected inbound senders on shard 1")
 	}
-	par.shards[1].senders = par.shards[1].senders[:len(par.shards[1].senders)-1]
+	par.dec.shards[1].senders = par.dec.shards[1].senders[:len(par.dec.shards[1].senders)-1]
 	if err := par.CheckConservation(); err == nil {
 		t.Fatal("conservation check missed a truncated sender list")
 	}
@@ -324,8 +324,6 @@ func TestParallelInvariantsCatchCorruption(t *testing.T) {
 // The synchronization budget is the tentpole's gated claim: an open-loop
 // multi-shard cycle costs exactly ONE barrier, an OnEject cycle exactly
 // two (the ejection split), and the single-shard decomposition none.
-// SerialReplayVisits must stay zero now that the credit discipline
-// resolves every boundary decision inside the pass.
 func TestParallelBarrierCounters(t *testing.T) {
 	s := topology.MustSpidergon(16)
 	par := newParallelNet(t, s, routing.NewSpidergonRouting(s), DefaultConfig(), 4)
@@ -360,6 +358,22 @@ func TestParallelBarrierCounters(t *testing.T) {
 	}
 	if got := single.Perf().Barriers; got != 0 {
 		t.Fatalf("single-shard decomposition crossed %d barriers, want 0", got)
+	}
+	// Width 1 runs the network's persistent one-shard decomposition, the
+	// one EngineActive drives, whose link pass never takes the
+	// cross-shard branch; engine switches keep it rather than rebuild it.
+	if single.dec != &single.serial {
+		t.Fatal("width-1 parallel engine does not run the serial decomposition")
+	}
+	if p := single.Perf(); p.SpeculativeDeliveries != 0 || p.CreditDefers != 0 {
+		t.Fatalf("one-shard run took the cross-shard link path (%d speculative, %d deferred)",
+			p.SpeculativeDeliveries, p.CreditDefers)
+	}
+	shard0 := &single.serial.shards[0]
+	single.SetShards(4)
+	single.SetEngine(EngineActive)
+	if single.dec != &single.serial || &single.serial.shards[0] != shard0 {
+		t.Fatal("engine switch rebuilt the one-shard decomposition")
 	}
 }
 
@@ -598,8 +612,8 @@ func TestMailboxBurstGrowthAndSteadyState(t *testing.T) {
 		tick()
 	}
 	grown := 0
-	for i := range net.shards {
-		for _, box := range net.shards[i].outbox {
+	for i := range net.dec.shards {
+		for _, box := range net.dec.shards[i].outbox {
 			if cap(box) > initialMailboxCap {
 				grown++
 			}
@@ -694,8 +708,8 @@ func FuzzCrossShardMailbox(f *testing.F) {
 // cross-cut worms exhaust credits constantly and the engine lives on
 // the zero-credit defer path (point-to-point pops-done wait + exact
 // re-read). The storm must stay bit-identical to the serial reference,
-// record a substantial CreditDefers count, keep SerialReplayVisits at
-// zero, and still cross exactly one barrier per cycle.
+// record a substantial CreditDefers count, and still cross exactly one
+// barrier per cycle.
 func TestParallelZeroCreditStorm(t *testing.T) {
 	m := topology.MustMesh(8, 8)
 	cfg := DefaultConfig() // InBufCap 1: single-credit boundary ports
@@ -734,9 +748,6 @@ func TestParallelZeroCreditStorm(t *testing.T) {
 	if perf.SpeculativeDeliveries == 0 {
 		t.Fatal("storm recorded no speculative deliveries — credits never granted")
 	}
-	if perf.SerialReplayVisits != 0 {
-		t.Fatalf("SerialReplayVisits = %d, want 0 (retired by the credit discipline)", perf.SerialReplayVisits)
-	}
 	if perf.Barriers != cycles {
 		t.Fatalf("barriers = %d over %d cycles, want exactly 1/cycle under storm", perf.Barriers, cycles)
 	}
@@ -747,11 +758,10 @@ func TestParallelZeroCreditStorm(t *testing.T) {
 
 // FuzzCreditSnapshot drives random fabrics and loads through the
 // credit-based engine with deliberately tight, fuzzed buffer depths,
-// holding it to (a) fingerprint equality with the serial reference, (b)
+// holding it to (a) fingerprint equality with the serial reference and (b)
 // the credit conservation invariants — snapshot credits equal free
 // downstream slots at every cycle boundary, no overdraft, mailboxes
-// drained — via CheckConservation at every probe, and (c) a permanently
-// zero SerialReplayVisits counter.
+// drained — via CheckConservation at every probe.
 func FuzzCreditSnapshot(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(2), uint8(230))
 	f.Add(uint64(3), uint8(0), uint8(4), uint8(255))
@@ -813,9 +823,6 @@ func FuzzCreditSnapshot(f *testing.F) {
 		}
 		if fa, fb := stateFingerprint(ref), stateFingerprint(par); fa != fb {
 			t.Fatalf("engines diverged (%d shards):\nactive:   %s\nparallel: %s", par.Shards(), fa, fb)
-		}
-		if got := par.Perf().SerialReplayVisits; got != 0 {
-			t.Fatalf("SerialReplayVisits = %d, want 0", got)
 		}
 		if err := par.CheckConservation(); err != nil {
 			t.Fatal(err)

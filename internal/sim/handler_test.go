@@ -42,11 +42,12 @@ func TestScheduleEventInterleavesWithClosures(t *testing.T) {
 	k := NewKernel()
 	var order []string
 	r := &recorder{k: k}
-	k.Schedule(1, func() { order = append(order, "fn") })
+	at(k, 1, func() { order = append(order, "fn") })
 	k.ScheduleEvent(1, 0, r, 1)
-	k.Schedule(2, func() { order = append(order, "fn2") })
+	at(k, 2, func() { order = append(order, "fn2") })
 	k.Run()
-	// Same time, insertion order: closure first, then handler.
+	// Same time, insertion order: the closure adapter first, then the
+	// recorder.
 	if len(order) != 2 || order[0] != "fn" || len(r.fired) != 1 {
 		t.Fatalf("order %v, fired %v", order, r.fired)
 	}
@@ -152,7 +153,7 @@ func TestKernelResetReplaysIdentically(t *testing.T) {
 	run := func() (Time, uint64, []int) {
 		r := &recorder{k: k, chain: 10}
 		k.ScheduleEvent(0.5, 0, r, 1)
-		k.Schedule(2, func() {})
+		at(k, 2, func() {})
 		k.Run()
 		return k.Now(), k.Processed(), r.fired
 	}

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// call adapts a test closure to Handler, so the kernel tests keep their
+// inline event bodies.
+type call func()
+
+func (c call) Fire(int) { c() }
+
+// at schedules fn at absolute time t with priority 0.
+func at(k *Kernel, t Time, fn func()) *Event { return k.ScheduleEvent(t, 0, call(fn), 0) }
+
 func TestKernelStartsAtZero(t *testing.T) {
 	k := NewKernel()
 	if k.Now() != 0 {
@@ -22,7 +31,7 @@ func TestScheduleAndRunOrdersByTime(t *testing.T) {
 	var got []Time
 	for _, tm := range []Time{5, 1, 3, 2, 4} {
 		tm := tm
-		k.Schedule(tm, func() { got = append(got, k.Now()) })
+		at(k, tm, func() { got = append(got, k.Now()) })
 	}
 	k.Run()
 	want := []Time{1, 2, 3, 4, 5}
@@ -41,7 +50,7 @@ func TestSameTimeEventsRunInInsertionOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.Schedule(7, func() { got = append(got, i) })
+		at(k, 7, func() { got = append(got, i) })
 	}
 	k.Run()
 	for i, v := range got {
@@ -54,9 +63,9 @@ func TestSameTimeEventsRunInInsertionOrder(t *testing.T) {
 func TestPriorityOrdersSameTimeEvents(t *testing.T) {
 	k := NewKernel()
 	var got []string
-	k.ScheduleWithPriority(1, 5, func() { got = append(got, "low") })
-	k.ScheduleWithPriority(1, -5, func() { got = append(got, "high") })
-	k.ScheduleWithPriority(1, 0, func() { got = append(got, "mid") })
+	k.ScheduleEvent(1, 5, call(func() { got = append(got, "low") }), 0)
+	k.ScheduleEvent(1, -5, call(func() { got = append(got, "high") }), 0)
+	k.ScheduleEvent(1, 0, call(func() { got = append(got, "mid") }), 0)
 	k.Run()
 	if len(got) != 3 || got[0] != "high" || got[1] != "mid" || got[2] != "low" {
 		t.Fatalf("priority order = %v", got)
@@ -65,42 +74,34 @@ func TestPriorityOrdersSameTimeEvents(t *testing.T) {
 
 func TestSchedulingIntoPastPanics(t *testing.T) {
 	k := NewKernel()
-	k.Schedule(10, func() {})
+	at(k, 10, func() {})
 	k.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling into the past did not panic")
 		}
 	}()
-	k.Schedule(5, func() {})
+	at(k, 5, func() {})
 }
 
-func TestScheduleNilFnPanics(t *testing.T) {
-	k := NewKernel()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil event function did not panic")
-		}
-	}()
-	k.Schedule(1, nil)
-}
-
+// An event scheduled relative to Now from inside a handler fires at the
+// offset from the scheduling event's time.
 func TestScheduleAfter(t *testing.T) {
 	k := NewKernel()
-	var at Time = -1
-	k.Schedule(3, func() {
-		k.ScheduleAfter(4, func() { at = k.Now() })
+	var when Time = -1
+	at(k, 3, func() {
+		at(k, k.Now()+4, func() { when = k.Now() })
 	})
 	k.Run()
-	if at != 7 {
-		t.Fatalf("ScheduleAfter fired at %v, want 7", at)
+	if when != 7 {
+		t.Fatalf("relative event fired at %v, want 7", when)
 	}
 }
 
 func TestCancelPreventsExecution(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	e := k.Schedule(1, func() { fired = true })
+	e := at(k, 1, func() { fired = true })
 	k.Cancel(e)
 	k.Run()
 	if fired {
@@ -113,7 +114,7 @@ func TestCancelPreventsExecution(t *testing.T) {
 
 func TestCancelIsIdempotentAndNilSafe(t *testing.T) {
 	k := NewKernel()
-	e := k.Schedule(1, func() {})
+	e := at(k, 1, func() {})
 	k.Cancel(e)
 	k.Cancel(e)
 	k.Cancel(nil)
@@ -124,8 +125,8 @@ func TestCancelDuringRun(t *testing.T) {
 	k := NewKernel()
 	fired := false
 	var victim *Event
-	k.Schedule(1, func() { k.Cancel(victim) })
-	victim = k.Schedule(2, func() { fired = true })
+	at(k, 1, func() { k.Cancel(victim) })
+	victim = at(k, 2, func() { fired = true })
 	k.Run()
 	if fired {
 		t.Fatal("event cancelled mid-run still fired")
@@ -134,27 +135,12 @@ func TestCancelDuringRun(t *testing.T) {
 
 func TestReschedulePending(t *testing.T) {
 	k := NewKernel()
-	var at Time
-	e := k.Schedule(10, func() { at = k.Now() })
+	var when Time
+	e := at(k, 10, func() { when = k.Now() })
 	k.Reschedule(e, 3)
 	k.Run()
-	if at != 3 {
-		t.Fatalf("rescheduled event fired at %v, want 3", at)
-	}
-}
-
-func TestRescheduleFiredEventCreatesNew(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	e := k.Schedule(1, func() { count++ })
-	k.Run()
-	e2 := k.Reschedule(e, 5)
-	if e2 == e {
-		t.Fatal("rescheduling a fired event returned the same event")
-	}
-	k.Run()
-	if count != 2 {
-		t.Fatalf("event ran %d times, want 2", count)
+	if when != 3 {
+		t.Fatalf("rescheduled event fired at %v, want 3", when)
 	}
 }
 
@@ -163,7 +149,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	var fired []Time
 	for _, tm := range []Time{1, 2, 3, 10} {
 		tm := tm
-		k.Schedule(tm, func() { fired = append(fired, tm) })
+		at(k, tm, func() { fired = append(fired, tm) })
 	}
 	end := k.RunUntil(5)
 	if end != 5 {
@@ -185,7 +171,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 func TestRunUntilInclusiveOfDeadline(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	k.Schedule(5, func() { fired = true })
+	at(k, 5, func() { fired = true })
 	k.RunUntil(5)
 	if !fired {
 		t.Fatal("event exactly at deadline did not fire")
@@ -201,9 +187,9 @@ func TestStopHaltsRun(t *testing.T) {
 		if count == 100 {
 			k.Stop()
 		}
-		k.ScheduleAfter(1, sched)
+		at(k, k.Now()+1, sched)
 	}
-	k.Schedule(0, sched)
+	at(k, 0, sched)
 	k.Run()
 	if count != 100 {
 		t.Fatalf("ran %d events after Stop, want exactly 100", count)
@@ -218,7 +204,7 @@ func TestNextEventTime(t *testing.T) {
 	if k.NextEventTime() != Infinity {
 		t.Fatal("empty kernel NextEventTime != Infinity")
 	}
-	k.Schedule(42, func() {})
+	at(k, 42, func() {})
 	if k.NextEventTime() != 42 {
 		t.Fatalf("NextEventTime = %v, want 42", k.NextEventTime())
 	}
@@ -227,7 +213,7 @@ func TestNextEventTime(t *testing.T) {
 func TestProcessedCounts(t *testing.T) {
 	k := NewKernel()
 	for i := 0; i < 17; i++ {
-		k.Schedule(Time(i), func() {})
+		at(k, Time(i), func() {})
 	}
 	k.Run()
 	if k.Processed() != 17 {
@@ -242,10 +228,10 @@ func TestEventsScheduledDuringExecutionRun(t *testing.T) {
 	recurse = func() {
 		depth++
 		if depth < 50 {
-			k.ScheduleAfter(1, recurse)
+			at(k, k.Now()+1, recurse)
 		}
 	}
-	k.Schedule(0, recurse)
+	at(k, 0, recurse)
 	k.Run()
 	if depth != 50 {
 		t.Fatalf("recursion depth = %d, want 50", depth)
@@ -263,7 +249,7 @@ func TestPropertyDispatchOrderSorted(t *testing.T) {
 		var got []Time
 		for _, v := range raw {
 			tm := Time(v)
-			k.Schedule(tm, func() { got = append(got, k.Now()) })
+			at(k, tm, func() { got = append(got, k.Now()) })
 		}
 		k.Run()
 		if len(got) != len(raw) {
@@ -288,7 +274,7 @@ func TestPropertyRunUntilBoundary(t *testing.T) {
 			if tm <= deadline {
 				want++
 			}
-			k.Schedule(tm, func() {})
+			at(k, tm, func() {})
 		}
 		k.RunUntil(deadline)
 		return int(k.Processed()) == want && k.Now() <= deadline+1e-9
@@ -351,7 +337,7 @@ func TestTickerSameTimeEventBeforeTick(t *testing.T) {
 		}
 	})
 	tk.Start()
-	k.Schedule(3, func() { arrived = true })
+	at(k, 3, func() { arrived = true })
 	k.RunUntil(5)
 	if !seenAtTick {
 		t.Fatal("same-time ordinary event ran after the tick")
@@ -555,10 +541,10 @@ func TestPoissonProcessRateViaKernel(t *testing.T) {
 		count++
 		d := Time(r.Exp(lambda))
 		if float64(k.Now())+float64(d) < horizon {
-			k.ScheduleAfter(d, arrive)
+			at(k, k.Now()+d, arrive)
 		}
 	}
-	k.ScheduleAfter(Time(r.Exp(lambda)), arrive)
+	at(k, k.Now()+Time(r.Exp(lambda)), arrive)
 	k.Run()
 	got := float64(count) / horizon
 	if math.Abs(got-lambda) > 0.03*lambda {
