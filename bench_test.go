@@ -339,6 +339,7 @@ func BenchmarkPerfGate(b *testing.B) {
 		// getting fatter is a regression the gate catches.
 		{"knee-telemetry", 0.9, 0},
 	}
+	b.Run("build", benchmarkPerfGateBuild)
 	for _, load := range loads {
 		s := engineScenario(load.frac)
 		s.StepParallel = load.shards
@@ -465,6 +466,50 @@ func BenchmarkPerfGate(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchBuildGeometries are the networks BenchmarkPerfGate/build
+// constructs: the paper's three topologies at every default figure
+// size, plus the largest lone point's mesh-16x16.
+func benchBuildGeometries() []core.Scenario {
+	var out []core.Scenario
+	for _, topo := range []core.TopologyKind{core.Ring, core.Spidergon, core.Mesh} {
+		for _, n := range []int{8, 16, 24, 32} {
+			out = append(out, core.NewScenario(topo, n, core.UniformTraffic, 0.01))
+		}
+	}
+	return append(out, core.NewScenario(core.Mesh, 256, core.UniformTraffic, 0.01))
+}
+
+// benchmarkPerfGateBuild is the gate's construction point (reported as
+// PerfGate/build): a cold Scenario.Build plus noc.NewNetwork for every
+// geometry of benchBuildGeometries — the set-up a campaign pays once
+// per distinct geometry. allocs/build is the exact allocator object
+// count per network built, a deterministic function of the geometries.
+func benchmarkPerfGateBuild(b *testing.B) {
+	geos := benchBuildGeometries()
+	build := func() {
+		for _, s := range geos {
+			topo, alg, err := s.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := noc.NewNetwork(topo, alg, s.Config, stats.NewCollector(s.Warmup)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// One untimed pass first, so lazily initialized package state is
+	// not charged to the first measured build.
+	build()
+	b.ResetTimer()
+	var before, after runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		runtime.ReadMemStats(&before)
+		build()
+		runtime.ReadMemStats(&after)
+	}
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(len(geos)), "allocs/build")
 }
 
 // --- substrate micro-benchmarks ---
