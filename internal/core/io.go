@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
 )
 
 // JSON encoding of scenarios and results, so runs can be scripted and
@@ -28,11 +30,51 @@ func UnmarshalScenario(data []byte) (Scenario, error) {
 	return base, nil
 }
 
-// WriteResultJSON writes r as indented JSON to w.
+// WriteResultJSON writes r as indented JSON to w. A statistic with no
+// samples is NaN (the latency of a run that ejected nothing), which
+// JSON cannot represent: every non-finite float field is written as
+// null instead. A result whose fields are all finite is encoded as is.
 func WriteResultJSON(w io.Writer, r Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
+	if v, ok := nullNonFinite(r); ok {
+		return enc.Encode(v)
+	}
 	return enc.Encode(r)
+}
+
+// nullNonFinite reports whether r holds a non-finite float field and,
+// if so, returns r as a value of an equivalent struct type whose
+// float64 fields are *float64, nil where r's value is non-finite.
+// encoding/json writes a nil pointer as null and a non-nil one exactly
+// like the float itself, so every other byte matches the plain encoding.
+func nullNonFinite(r Result) (any, bool) {
+	rv := reflect.ValueOf(r)
+	rt := rv.Type()
+	nonFinite := false
+	fields := make([]reflect.StructField, rt.NumField())
+	for i := range fields {
+		fields[i] = rt.Field(i)
+		if fields[i].Type.Kind() == reflect.Float64 {
+			fields[i].Type = reflect.PointerTo(fields[i].Type)
+			if x := rv.Field(i).Float(); math.IsNaN(x) || math.IsInf(x, 0) {
+				nonFinite = true
+			}
+		}
+	}
+	if !nonFinite {
+		return nil, false
+	}
+	out := reflect.New(reflect.StructOf(fields)).Elem()
+	for i := range fields {
+		f := rv.Field(i)
+		if f.Kind() != reflect.Float64 {
+			out.Field(i).Set(f)
+		} else if x := f.Float(); !math.IsNaN(x) && !math.IsInf(x, 0) {
+			out.Field(i).Set(reflect.ValueOf(&x))
+		}
+	}
+	return out.Interface(), true
 }
 
 // ReadScenarios parses a JSON document holding either one scenario

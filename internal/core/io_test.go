@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -94,6 +96,68 @@ func TestWriteResultJSON(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "ring-8") {
 		t.Fatal("topology name missing")
+	}
+}
+
+func TestWriteResultJSONNonFinite(t *testing.T) {
+	finite := Result{TopologyName: "ring-8", Throughput: 0.25, MeanLatency: 31.5, P95Latency: 1e-9, EjectedPackets: 3}
+	// A run that ejects nothing has no latency or hop samples.
+	s := NewScenario(Ring, 8, UniformTraffic, 0.0001)
+	s.Warmup, s.Measure = 0, 5
+	empty, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.EjectedPackets != 0 {
+		t.Fatalf("degenerate run ejected %d packets", empty.EjectedPackets)
+	}
+	cases := []struct {
+		name     string
+		r        Result
+		nulls    []string // fields that must encode as null
+		verbatim bool     // bytes must equal the plain encoding
+	}{
+		{"finite", finite, nil, true},
+		{"nan", Result{MeanLatency: math.NaN(), Throughput: 0.5}, []string{"MeanLatency"}, false},
+		{"inf", Result{P50Latency: math.Inf(1), MeanHops: math.Inf(-1)}, []string{"P50Latency", "MeanHops"}, false},
+		{"no-ejections", empty, []string{"MeanLatency", "P50Latency", "P95Latency", "MeanNetLatency", "MeanHops", "EnergyPerPacket", "TotalEnergy"}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := WriteResultJSON(&buf, c.r); err != nil {
+				t.Fatal(err)
+			}
+			if c.verbatim {
+				var want bytes.Buffer
+				enc := json.NewEncoder(&want)
+				enc.SetIndent("", "  ")
+				if err := enc.Encode(c.r); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+					t.Fatalf("finite result changed bytes:\n%s\nwant:\n%s", buf.String(), want.String())
+				}
+			}
+			var decoded map[string]any
+			if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range c.nulls {
+				if v, ok := decoded[k]; !ok || v != nil {
+					t.Errorf("%s = %v (present %v), want null", k, v, ok)
+				}
+			}
+			for k, v := range decoded {
+				if v == nil && !slices.Contains(c.nulls, k) {
+					t.Errorf("%s unexpectedly null", k)
+				}
+			}
+			// Field order is the struct's, as in the plain encoding.
+			if !strings.HasPrefix(buf.String(), "{\n  \"Scenario\": {") {
+				t.Fatalf("field order changed:\n%.80s", buf.String())
+			}
+		})
 	}
 }
 
