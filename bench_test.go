@@ -339,7 +339,6 @@ func BenchmarkPerfGate(b *testing.B) {
 		// getting fatter is a regression the gate catches.
 		{"knee-telemetry", 0.9, 0},
 	}
-	b.Run("build", benchmarkPerfGateBuild)
 	for _, load := range loads {
 		s := engineScenario(load.frac)
 		s.StepParallel = load.shards
@@ -466,6 +465,9 @@ func BenchmarkPerfGate(b *testing.B) {
 			}
 		})
 	}
+	// Last, so its construction garbage stays out of the allocation
+	// brackets of the run points above.
+	b.Run("build", benchmarkPerfGateBuild)
 }
 
 // benchBuildGeometries are the networks BenchmarkPerfGate/build

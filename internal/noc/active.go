@@ -183,8 +183,8 @@ func (n *Network) inPop(wl *worklists, node int, r *router, p *inPort, vc int) f
 // own worklists, so every write (buffer, masks, telemetry counters,
 // worklist bitmaps) has a single writer per cycle.
 func (n *Network) inPush(wl *worklists, node int, r *router, p *inPort, vc int, h flitH) {
-	wasEmpty := p.bufs[vc].len() == 0
-	p.push(vc, h)
+	wasEmpty := p.empty(vc)
+	r.pushIn(p, vc, h, n.cycle)
 	n.telOcc[node]++
 	bit := p.slotBase + vc
 	r.inOcc.set(bit)
@@ -196,7 +196,7 @@ func (n *Network) inPush(wl *worklists, node int, r *router, p *inPort, vc int, 
 
 // outPush appends h to the output queue (op, vc) of node's router.
 func (n *Network) outPush(wl *worklists, node int, r *router, op *outPort, vc int, h flitH) {
-	op.vcs[vc].push(h)
+	r.pushOut(op, vc, h, n.cycle)
 	n.telOcc[node]++
 	r.outOcc.set(op.slotBase + vc)
 	wl.out.add(node)
@@ -206,7 +206,7 @@ func (n *Network) outPush(wl *worklists, node int, r *router, op *outPort, vc in
 // slot — and, when the router's last output drains, the router — from
 // the link worklist.
 func (n *Network) outPop(wl *worklists, node int, r *router, op *outPort, vc int) flitH {
-	v := op.vcs[vc]
+	v := &op.vcs[vc]
 	h := v.pop()
 	n.telOcc[node]--
 	if v.empty() {
@@ -245,7 +245,8 @@ func (n *Network) stepShards() {
 // bit is set in ejOcc. rrEj is derived: the reference advances it by
 // one every cycle for every router, so during cycle c it equals c mod
 // slots. The rotation runs over logical slot indices (port × VCs + vc,
-// the reference modulus); each maps to its strided mask bit for the
+// the reference modulus), stepped as a (port, vc) pair with wrap-around
+// instead of divided out; each maps to its strided mask bit for the
 // occupancy test. Every tail-ejection completion is deferred: the pops,
 // mask updates and per-packet receive accounting are shard-local (a
 // packet's flits all eject at its unique destination), while
@@ -264,14 +265,22 @@ func (n *Network) ejectShard(s *shard) {
 			return
 		}
 		slots := np * vcs
-		rrEj := int(n.modTab[slots])
+		// Split rrEj = pi*vcs + vc by subtraction: pi < np is small.
+		pi, vc := 0, int(n.modTab[slots])
+		for vc >= vcs {
+			vc -= vcs
+			pi++
+		}
 		for k := 0; k < slots && budget > 0; k++ {
-			sl := rrEj + k
-			if sl >= slots {
-				sl -= slots
+			if k > 0 {
+				if vc++; vc == vcs {
+					vc = 0
+					if pi++; pi == np {
+						pi = 0
+					}
+				}
 			}
-			p := r.in[sl/vcs]
-			vc := sl % vcs
+			p := r.in[pi]
 			if !r.ejOcc.test(p.slotBase + vc) {
 				continue
 			}
@@ -337,7 +346,11 @@ func (n *Network) switchInjectShard(s *shard) {
 		np := len(r.in)
 		rrIn := int(n.modTab[np])
 		for k := 0; k < np; k++ {
-			p := r.in[(rrIn+k)%np]
+			pi := rrIn + k
+			if pi >= np {
+				pi -= np
+			}
+			p := r.in[pi]
 			occ := r.inOcc.port(p.slotBase, vcs) &^ r.ejOcc.port(p.slotBase, vcs)
 			if occ == 0 {
 				continue
@@ -356,18 +369,16 @@ func (n *Network) switchInjectShard(s *shard) {
 // the port's crossbar input for this cycle. It maintains the masks and
 // the calling shard's worklists, and reports whether a flit moved.
 func (n *Network) switchPort(wl *worklists, r *router, p *inPort, occ uint64, vcs int) bool {
-	a := &n.arena
 	for j := 0; j < vcs; j++ {
-		inVC := (p.rrVC + j) % vcs
-		if occ&(1<<uint(inVC)) == 0 {
-			continue
+		inVC := p.rrVC + j
+		if inVC >= vcs {
+			inVC -= vcs
+		}
+		if occ&(1<<uint(inVC)) == 0 || r.fresh(r.freshIn, p.slotBase+inVC, n.cycle) {
+			continue // empty, or already advanced this cycle
 		}
 		h := p.head(inVC)
 		pi := h.pkt()
-		fi := a.flitIndex(h)
-		if a.lastMove[fi] >= n.cycle+1 {
-			continue // already advanced this cycle
-		}
 		entry := &p.route[inVC]
 		if h.seq() == 0 {
 			d := n.route(r, pi, inVC)
@@ -376,28 +387,29 @@ func (n *Network) switchPort(wl *worklists, r *router, p *inPort, occ uint64, vc
 				panic(fmt.Sprintf("noc: %s chose missing direction %v at node %d for %s",
 					n.alg.Name(), d.Dir, r.node, n.pktString(pi)))
 			}
-			ovc := op.vcs[d.VC]
+			ovc := &op.vcs[d.VC]
 			if !n.canAdmit(ovc) {
 				continue // allocation denied; retry next cycle
 			}
 			ovc.owner = pi
-			*entry = routeEntry{active: true, port: op, vc: d.VC}
-		} else if !entry.active {
+			*entry = routeEntry{port: op, vc: d.VC}
+		} else if entry.port == nil {
 			panic(fmt.Sprintf("noc: body flit %s at node %d without switching state", n.flitString(h), r.node))
 		}
-		ovc := entry.port.vcs[entry.vc]
-		if ovc.owner != pi || ovc.full(n.cfg.OutBufCap) {
+		ovc := &entry.port.vcs[entry.vc]
+		if ovc.owner != pi || ovc.full() {
 			continue // space denied; retry next cycle
 		}
 		n.inPop(wl, r.node, r, p, inVC)
 		h = h.withVC(entry.vc)
-		a.lastMove[fi] = n.cycle + 1
 		n.outPush(wl, r.node, r, entry.port, entry.vc, h)
-		if h.seq() == a.pktLen-1 {
+		if h.seq() == n.arena.pktLen-1 {
 			ovc.owner = -1
-			entry.active = false
+			entry.port = nil
 		}
-		p.rrVC = (inVC + 1) % vcs
+		if p.rrVC = inVC + 1; p.rrVC == vcs {
+			p.rrVC = 0
+		}
 		return true // one flit per input port per cycle
 	}
 	return false
@@ -424,33 +436,31 @@ func (n *Network) injectShard(s *shard) {
 				}
 				q.sending = q.queue.pop()
 				q.nextSeq = 0
-				q.vc = 0
 				q.route = routeEntry{}
 			}
 			pi := q.sending
-			if q.nextSeq == 0 && !q.route.active {
+			if q.nextSeq == 0 && q.route.port == nil {
 				d := n.route(r, pi, 0)
 				op := r.outPortByDir(d.Dir)
 				if op == nil {
 					panic(fmt.Sprintf("noc: %s chose missing direction %v at source %d for %s",
 						n.alg.Name(), d.Dir, node, n.pktString(pi)))
 				}
-				ovc := op.vcs[d.VC]
+				ovc := &op.vcs[d.VC]
 				if n.canAdmit(ovc) {
 					ovc.owner = pi
-					q.route = routeEntry{active: true, port: op, vc: d.VC}
+					q.route = routeEntry{port: op, vc: d.VC}
 				} else {
 					s.blocked++
 					break
 				}
 			}
-			ovc := q.route.port.vcs[q.route.vc]
-			if ovc.full(n.cfg.OutBufCap) {
+			ovc := &q.route.port.vcs[q.route.vc]
+			if ovc.full() {
 				s.blocked++
 				break
 			}
 			h := mkFlit(pi, q.nextSeq, q.route.vc)
-			a.lastMove[a.flitIndex(h)] = n.cycle + 1
 			n.outPush(&s.wl, node, r, q.route.port, q.route.vc, h)
 			n.telInj[node]++
 			s.moved = true
@@ -502,7 +512,7 @@ func (n *Network) linkShard(s *shard, g uint64) {
 // other shard pushes into this shard's input slots). Only a
 // multi-shard decomposition has ports whose destination lies outside
 // the running shard's range; their decision consults the cycle-start
-// credit counter (outPort.credits[vc]): a positive count proves the
+// credit counter (decomposition.credits): a positive count proves the
 // slot still has room at the serial decision point (its occupancy can
 // only have shrunk — the single producer is this port), so the flit
 // departs on the spot; a zero count means the owner's pops this cycle
@@ -514,22 +524,15 @@ func (n *Network) linkShard(s *shard, g uint64) {
 // receiving shard at the end of its pass. Both outcomes reproduce the
 // serial round-robin decision exactly.
 func (n *Network) linkPort(s *shard, node int, r *router, op *outPort, occ uint64, vcs, rr int, g uint64) {
-	a := &n.arena
 	for k := 0; k < vcs; k++ {
 		vi := rr + k
 		if vi >= vcs {
 			vi -= vcs
 		}
-		if occ&(1<<uint(vi)) == 0 {
-			continue
+		if occ&(1<<uint(vi)) == 0 || r.fresh(r.freshOut, op.slotBase+vi, n.cycle) {
+			continue // empty, or entered this cycle
 		}
-		v := op.vcs[vi]
-		h := v.head()
-		fi := a.flitIndex(h)
-		if a.lastMove[fi] >= n.cycle+1 {
-			continue
-		}
-		if !n.canDepart(v) {
+		if !n.canDepart(&op.vcs[vi]) {
 			continue
 		}
 		dst := op.ch.Dst
@@ -537,23 +540,22 @@ func (n *Network) linkPort(s *shard, node int, r *router, op *outPort, occ uint6
 		t := 0
 		if cross {
 			t = int(n.dec.shardOf[dst])
-			if op.credits[vi] > 0 {
-				op.credits[vi]--
+			if c := &n.dec.credits[op.ch.ID*vcs+vi]; *c > 0 {
+				*c--
 				s.specs++
 			} else {
 				s.cdefers++
 				n.pr.awaitMark(n.pr.popsDone, t, g)
-				if op.peer.full(vi, n.cfg.InBufCap) {
+				if op.peer.full(vi) {
 					continue
 				}
 			}
-		} else if op.peer.full(vi, n.cfg.InBufCap) {
+		} else if op.peer.full(vi) {
 			continue
 		}
-		n.outPop(&s.wl, node, r, op, vi)
-		a.lastMove[fi] = n.cycle + 1
+		h := n.outPop(&s.wl, node, r, op, vi)
 		if h.seq() == 0 {
-			a.hops[h.pkt()]++
+			n.arena.hops[h.pkt()]++
 		}
 		n.linkFlits[op.ch.ID]++
 		if cross {
@@ -669,7 +671,7 @@ func (n *Network) rebuildSets() {
 func (n *Network) deriveMasks(r *router, in, ej, out slotMask) (hasEj, hasTransit, hasOut bool) {
 	for _, p := range r.in {
 		for vc := range p.bufs {
-			if p.bufs[vc].len() == 0 {
+			if p.empty(vc) {
 				continue
 			}
 			bit := p.slotBase + vc
@@ -683,8 +685,8 @@ func (n *Network) deriveMasks(r *router, in, ej, out slotMask) (hasEj, hasTransi
 		}
 	}
 	for _, op := range r.out {
-		for vc, v := range op.vcs {
-			if !v.empty() {
+		for vc := range op.vcs {
+			if !op.vcs[vc].empty() {
 				out.set(op.slotBase + vc)
 				hasOut = true
 			}

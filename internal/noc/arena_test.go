@@ -326,10 +326,11 @@ func TestCheckConservationCatchesInvalidHandle(t *testing.T) {
 	for c := 0; c < 2; c++ {
 		net.Step()
 	}
-	var bad *fifo[flitH]
+	var bad *slotQ
 	for _, r := range net.routers {
 		for _, op := range r.out {
-			for _, v := range op.vcs {
+			for vc := range op.vcs {
+				v := &op.vcs[vc]
 				if !v.empty() {
 					bad = &v.q
 				}

@@ -12,6 +12,16 @@
 // traversal, injection, link traversal). All arbitration is round-robin
 // and all iteration orders are fixed, so simulations are deterministic.
 //
+// The one-stage-per-cycle rule is enforced from router-local state, in
+// every engine. Within a cycle every output queue is pushed (switch,
+// injection) before it is popped (link), and every input slot is popped
+// (ejection, switch) before it is pushed (link, inbox drain), so the
+// head a later stage finds in a slot moved this cycle exactly when the
+// slot was empty at its first push of the cycle. Each router keeps one
+// bit per slot in two freshness masks, set on such pushes and cleared
+// lazily by a per-router cycle stamp; no packet or flit carries any
+// timing state.
+//
 // # Engines
 //
 // Three interchangeable engines implement Step, two of them with one
@@ -48,23 +58,25 @@
 // The hot path is pointer-free. Packet state lives in a
 // struct-of-arrays arena (arena.go): parallel slices for ID, endpoints,
 // creation/injection cycles, hop and receive counts, indexed by a small
-// integer. A flit is a 64-bit handle packing (packet index, sequence
-// number, VC tag); since the packet length is constant per network,
-// seq == PacketLen-1 identifies the tail without any per-packet length
-// field, and the flit's one-stage-per-cycle stamp lives at the dense
-// index pkt*PacketLen+seq of one shared lastMove array. Router input
-// slots, output VC queues and the NI source queues store these handle
-// words (and packet indices) directly, so the per-phase drains are
-// linear scans over dense integer arrays — no heap object is chased or
-// allocated inside a cycle. The freelist of recycled packets is an
-// index stack on the arena; with pooling off the arena grows
+// integer — 41 bytes per packet, nothing per flit. A flit is a 64-bit
+// handle packing (packet index, sequence number, VC tag); since the
+// packet length is constant per network, seq == PacketLen-1 identifies
+// the tail without any per-packet length field. Router input slots and
+// output VC queues are fixed-capacity slot queues of these handle words
+// (capacity InBufCap or OutBufCap, head at index 0), all carved from
+// one contiguous handle block per network; only the NI source queues,
+// which hold packet indices, are unbounded. The per-phase drains are
+// therefore linear scans over dense integer arrays — no heap object is
+// chased or allocated inside a cycle. The freelist of recycled packets
+// is an index stack on the arena; with pooling off the arena grows
 // monotonically instead, which changes allocator traffic but never
 // results.
 //
-// Per-router slot-occupancy masks (mask.go) are multi-word bitmaps with
-// a power-of-two per-port stride, so any degree × VC product is
-// supported by every engine (the old single-word masks forced large
-// routers onto the sweep engine).
+// Per-router slot-occupancy and freshness masks (mask.go) are
+// multi-word bitmaps with a power-of-two per-port stride, so any degree
+// × VC product is supported by every engine (the old single-word masks
+// forced large routers onto the sweep engine). The router structs and
+// masks of a network are each allocated as one contiguous block.
 //
 // # Observer views
 //

@@ -207,3 +207,70 @@ func TestCheckActiveInvariantsCatchesStranding(t *testing.T) {
 		t.Fatal("conservation check missed a stranded flit")
 	}
 }
+
+// A flit that entered a queue this cycle may not leave it this cycle,
+// under every engine: a flit pushed into an empty output queue — by
+// injection, including InjectRate 2 pushing two flits into one queue,
+// or by the switch stage — stays put through that cycle's link phase.
+// The per-step link traversal counts pin the one-stage-per-cycle
+// pipeline: inject, link, switch, link, eject.
+func TestFreshOutputFlitWaitsOneCycle(t *testing.T) {
+	cases := []struct {
+		name       string
+		pktLen     int
+		injectRate int
+		dst        int
+		traversals []uint64 // cumulative link traversals after each step
+	}{
+		// Two flits injected into the empty queue in cycle 0; the head
+		// crosses in cycle 1, the next flit in cycle 2.
+		{"inject-rate-2", 6, 2, 1, []uint64{0, 1, 2}},
+		// A single-flit packet two hops away: injected in cycle 0, over
+		// link 0->1 in cycle 1, switched into node 1's empty output
+		// queue in cycle 2 (where it must not also cross), over link
+		// 1->2 in cycle 3.
+		{"switch", 1, 1, 2, []uint64{0, 1, 1, 2, 2}},
+	}
+	for _, c := range cases {
+		for _, eng := range []struct {
+			name   string
+			engine Engine
+			shards int
+		}{{"sweep", EngineSweep, 0}, {"active", EngineActive, 0}, {"parallel-2", EngineParallel, 2}} {
+			t.Run(c.name+"/"+eng.name, func(t *testing.T) {
+				r := topology.MustRing(8)
+				cfg := DefaultConfig()
+				cfg.PacketLen, cfg.InjectRate = c.pktLen, c.injectRate
+				net, err := NewNetwork(r, routing.NewRingRouting(r), cfg, stats.NewCollector(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if eng.shards > 0 {
+					net.SetShards(eng.shards)
+				}
+				net.SetEngine(eng.engine)
+				defer net.StopWorkers()
+				if err := net.Inject(0, c.dst); err != nil {
+					t.Fatal(err)
+				}
+				for step, want := range c.traversals {
+					net.Step()
+					if step == 0 && net.OccupancySnapshot()[0] != c.injectRate {
+						t.Fatalf("cycle 0 buffered %d flits at node 0, want %d", net.OccupancySnapshot()[0], c.injectRate)
+					}
+					got := uint64(0)
+					for _, v := range net.ChannelTraversals() {
+						got += v
+					}
+					if got != want {
+						t.Fatalf("after step %d: %d link traversals, want %d (occupancy %v)",
+							step+1, got, want, net.OccupancySnapshot())
+					}
+				}
+				if err := net.Drain(1000); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}

@@ -11,8 +11,11 @@ package noc
 // slot counts, so arbitration is bit-identical to the packed layout.
 type slotMask []uint64
 
+// maskWords returns the number of words a mask of n slot bits needs.
+func maskWords(n int) int { return (n + 63) / 64 }
+
 // newSlotMask returns a mask covering n stride-spaced slot bits.
-func newSlotMask(n int) slotMask { return make(slotMask, (n+63)/64) }
+func newSlotMask(n int) slotMask { return make(slotMask, maskWords(n)) }
 
 func (m slotMask) set(i int)      { m[i>>6] |= 1 << (uint(i) & 63) }
 func (m slotMask) clearBit(i int) { m[i>>6] &^= 1 << (uint(i) & 63) }
@@ -58,7 +61,7 @@ func (m slotMask) zero() {
 // reusing the backing array when it is wide enough — the scratch-mask
 // idiom of the invariant checks.
 func resizeMask(m slotMask, n int) slotMask {
-	words := (n + 63) / 64
+	words := maskWords(n)
 	if cap(m) < words {
 		return newSlotMask(n)
 	}

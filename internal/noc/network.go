@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"gonoc/internal/routing"
@@ -126,7 +127,6 @@ type ni struct {
 	sending int32       // packet currently being injected flit by flit
 	nextSeq int         // next flit index of sending
 	route   routeEntry  // output assignment of sending's worm
-	vc      int         // routing VC state of sending's head path start
 }
 
 // NewNetwork builds a network over t using algorithm a, buffer/interface
@@ -160,21 +160,20 @@ func NewNetwork(t topology.Topology, a routing.Algorithm, cfg Config, col *stats
 	if aa, ok := a.(routing.Adaptive); ok {
 		n.adaptive = aa
 	}
+	n.routers = newRouters(t, a.VCs(), n.stride, cfg.InBufCap, cfg.OutBufCap)
 	nis := make([]ni, t.Nodes())
-	for v := 0; v < t.Nodes(); v++ {
-		n.routers = append(n.routers, newRouter(v, t, a.VCs(), n.stride))
+	n.nis = make([]*ni, t.Nodes())
+	for v := range nis {
 		nis[v].node = v
 		nis[v].sending = -1
-		n.nis = append(n.nis, &nis[v])
+		n.nis[v] = &nis[v]
 	}
 	// Resolve each output channel's downstream port once, and register
 	// the round-robin divisors (per-router slot and port counts) with
 	// the incremental modulo table the phase kernel derives its
 	// rotation pointers from.
-	seen := make(map[int]bool)
 	addDiv := func(d int) {
-		if d > 0 && !seen[d] {
-			seen[d] = true
+		if d > 0 && !slices.Contains(n.modDivs, d) {
 			n.modDivs = append(n.modDivs, d)
 		}
 	}
@@ -246,9 +245,8 @@ func (n *Network) InjectPacket(src, dst int) (*Packet, error) {
 
 // leasePacket draws a record from the arena's free stack, falling back
 // to arena growth while the stack warms up (or always, when pooling is
-// off), and initializes it for the new packet. The flit stamps of the
-// record's lastMove window are cleared so a recycled record starts
-// indistinguishable from a fresh one.
+// off), and initializes it for the new packet, so a recycled record
+// starts indistinguishable from a fresh one.
 func (n *Network) leasePacket(src, dst int) int32 {
 	a := &n.arena
 	var pi int32
@@ -265,10 +263,6 @@ func (n *Network) leasePacket(src, dst int) int32 {
 	a.id[pi] = n.nextPktID
 	a.src[pi], a.dst[pi] = int32(src), int32(dst)
 	a.created[pi] = n.cycle
-	lm := a.lastMove[int(pi)*a.pktLen : (int(pi)+1)*a.pktLen]
-	for i := range lm {
-		lm[i] = 0
-	}
 	return pi
 }
 
@@ -336,9 +330,9 @@ func (n *Network) canAdmit(q *outVC) bool {
 		return false
 	}
 	if n.cfg.Switching == Wormhole {
-		return !q.full(n.cfg.OutBufCap)
+		return !q.full()
 	}
-	return n.cfg.OutBufCap-q.q.len() >= n.cfg.PacketLen
+	return q.q.free() >= n.cfg.PacketLen
 }
 
 // canDepart reports whether the flit at the head of the output queue
@@ -364,13 +358,13 @@ func (n *Network) canDepart(q *outVC) bool {
 
 // Step advances the network one clock cycle. The four phases — sink
 // ejection, switch traversal, source injection, link traversal — each
-// move a flit at most one stage, and a per-flit cycle stamp prevents a
-// flit from advancing through two stages in one cycle. The default
-// engine runs the activity-driven phase kernel (active.go) as one
-// shard; the parallel engine runs the same kernel over several shards
-// with deterministic barriers (parallel.go); the sweep engine below
-// scans everything and serves as the golden reference both are tested
-// against.
+// move a flit at most one stage, and each router's freshness masks
+// (router.freshIn/freshOut) keep a flit from advancing through two
+// stages in one cycle. The default engine runs the activity-driven
+// phase kernel (active.go) as one shard; the parallel engine runs the
+// same kernel over several shards with deterministic barriers
+// (parallel.go); the sweep engine below scans everything and serves as
+// the golden reference both are tested against.
 func (n *Network) Step() {
 	if n.engine == EngineSweep {
 		n.stepSweep()
@@ -461,12 +455,11 @@ func (n *Network) switchPhase() {
 				if p.empty(inVC) {
 					continue
 				}
-				h := p.head(inVC)
-				pi := h.pkt()
-				fi := a.flitIndex(h)
-				if a.lastMove[fi] >= n.cycle+1 {
+				if r.fresh(r.freshIn, p.slotBase+inVC, n.cycle) {
 					continue // already advanced this cycle
 				}
+				h := p.head(inVC)
+				pi := h.pkt()
 				if a.dst[pi] == int32(r.node) {
 					continue // waits for the ejection phase
 				}
@@ -481,27 +474,26 @@ func (n *Network) switchPhase() {
 						panic(fmt.Sprintf("noc: %s chose missing direction %v at node %d for %s",
 							n.alg.Name(), d.Dir, r.node, n.pktString(pi)))
 					}
-					ovc := op.vcs[d.VC]
+					ovc := &op.vcs[d.VC]
 					if !n.canAdmit(ovc) {
 						continue // allocation denied; retry next cycle
 					}
 					ovc.owner = pi
-					*entry = routeEntry{active: true, port: op, vc: d.VC}
-				} else if !entry.active {
+					*entry = routeEntry{port: op, vc: d.VC}
+				} else if entry.port == nil {
 					panic(fmt.Sprintf("noc: body flit %s at node %d without switching state", n.flitString(h), r.node))
 				}
-				ovc := entry.port.vcs[entry.vc]
-				if ovc.owner != pi || ovc.full(n.cfg.OutBufCap) {
+				ovc := &entry.port.vcs[entry.vc]
+				if ovc.owner != pi || ovc.full() {
 					continue // space denied; retry next cycle
 				}
 				p.pop(inVC)
 				h = h.withVC(entry.vc)
-				a.lastMove[fi] = n.cycle + 1
-				ovc.push(h)
+				r.pushOut(entry.port, entry.vc, h, n.cycle)
 				n.moved = true
 				if h.seq() == a.pktLen-1 {
 					ovc.owner = -1
-					entry.active = false
+					entry.port = nil
 				}
 				p.rrVC = (inVC + 1) % vcs
 				break // one flit per input port per cycle
@@ -528,34 +520,32 @@ func (n *Network) injectPhase() {
 				}
 				q.sending = q.queue.pop()
 				q.nextSeq = 0
-				q.vc = 0
 				q.route = routeEntry{}
 			}
 			pi := q.sending
-			if q.nextSeq == 0 && !q.route.active {
+			if q.nextSeq == 0 && q.route.port == nil {
 				d := n.route(r, pi, 0)
 				op := r.outPortByDir(d.Dir)
 				if op == nil {
 					panic(fmt.Sprintf("noc: %s chose missing direction %v at source %d for %s",
 						n.alg.Name(), d.Dir, node, n.pktString(pi)))
 				}
-				ovc := op.vcs[d.VC]
+				ovc := &op.vcs[d.VC]
 				if n.canAdmit(ovc) {
 					ovc.owner = pi
-					q.route = routeEntry{active: true, port: op, vc: d.VC}
+					q.route = routeEntry{port: op, vc: d.VC}
 				} else {
 					n.col.SourceBlocked(n.cycle)
 					break
 				}
 			}
-			ovc := q.route.port.vcs[q.route.vc]
-			if ovc.full(n.cfg.OutBufCap) {
+			ovc := &q.route.port.vcs[q.route.vc]
+			if ovc.full() {
 				n.col.SourceBlocked(n.cycle)
 				break
 			}
 			h := mkFlit(pi, q.nextSeq, q.route.vc)
-			a.lastMove[a.flitIndex(h)] = n.cycle + 1
-			ovc.push(h)
+			r.pushOut(q.route.port, q.route.vc, h, n.cycle)
 			n.telOcc[node]++
 			n.telInj[node]++
 			n.moved = true
@@ -588,30 +578,24 @@ func (n *Network) linkPhase() {
 			sent := false
 			for k := 0; k < nv && !sent; k++ {
 				vi := (op.rr + k) % nv
-				v := op.vcs[vi]
-				if v.empty() {
-					continue
-				}
-				h := v.head()
-				fi := a.flitIndex(h)
-				if a.lastMove[fi] >= n.cycle+1 {
+				v := &op.vcs[vi]
+				if v.empty() || r.fresh(r.freshOut, op.slotBase+vi, n.cycle) {
 					continue
 				}
 				if !n.canDepart(v) {
 					continue
 				}
 				ip := op.peer
-				if ip.full(vi, n.cfg.InBufCap) {
+				if ip.full(vi) {
 					continue
 				}
-				v.pop()
+				h := v.pop()
 				n.telOcc[r.node]--
-				a.lastMove[fi] = n.cycle + 1
 				if h.seq() == 0 {
 					a.hops[h.pkt()]++
 				}
 				n.linkFlits[op.ch.ID]++
-				ip.push(vi, h)
+				op.peerRouter.pushIn(ip, vi, h, n.cycle)
 				n.telOcc[op.ch.Dst]++
 				n.moved = true
 				sent = true
@@ -732,7 +716,8 @@ func (n *Network) CheckConservation() error {
 			}
 		}
 		for _, op := range r.out {
-			for _, v := range op.vcs {
+			for vc := range op.vcs {
+				v := &op.vcs[vc]
 				for _, h := range v.flits() {
 					if err := note(h); err != nil {
 						return err
@@ -806,7 +791,8 @@ func (n *Network) checkHandles() error {
 			}
 		}
 		for _, op := range r.out {
-			for _, v := range op.vcs {
+			for vc := range op.vcs {
+				v := &op.vcs[vc]
 				for _, h := range v.flits() {
 					if err := valid(h); err != nil {
 						return err
@@ -891,7 +877,8 @@ func (n *Network) Reset() {
 			p.rrVC = 0
 		}
 		for _, op := range r.out {
-			for _, v := range op.vcs {
+			for vc := range op.vcs {
+				v := &op.vcs[vc]
 				for _, h := range v.q.live() {
 					n.reclaim(h.pkt())
 				}
@@ -904,6 +891,9 @@ func (n *Network) Reset() {
 		r.inOcc.zero()
 		r.ejOcc.zero()
 		r.outOcc.zero()
+		r.freshIn.zero()
+		r.freshOut.zero()
+		r.freshAt = 0
 	}
 	for _, s := range n.nis {
 		for _, pi := range s.queue.live() {
@@ -914,7 +904,7 @@ func (n *Network) Reset() {
 			n.reclaim(s.sending)
 			s.sending = -1
 		}
-		s.nextSeq, s.vc = 0, 0
+		s.nextSeq = 0
 		s.route = routeEntry{}
 	}
 	if !n.pooling {

@@ -198,7 +198,7 @@ func (v congestionView) OutputOccupancy(d topology.Direction, vc int) int {
 	if op == nil || vc < 0 || vc >= len(op.vcs) {
 		return v.cap + 1
 	}
-	q := op.vcs[vc]
+	q := &op.vcs[vc]
 	occ := q.q.len()
 	if q.owner >= 0 {
 		occ++
@@ -213,15 +213,16 @@ func (v congestionView) OutputFree(d topology.Direction, vc int) bool {
 	if op == nil || vc < 0 || vc >= len(op.vcs) {
 		return false
 	}
-	q := op.vcs[vc]
-	return q.owner < 0 && !q.full(v.cap)
+	q := &op.vcs[vc]
+	return q.owner < 0 && !q.full()
 }
 
 // LiveStateBytes reports the resident bytes of the network's live
-// simulation state: the packet arena (records, per-flit stamps and the
-// free stack), every router's buffered flit handles and per-slot
-// bookkeeping (masks, switching entries), and the NI source queues. It
-// counts live lengths, not backing capacities, so the figure is a
+// simulation state: the packet arena (records and the free stack),
+// every router's buffered flit handles and per-slot bookkeeping
+// (switching entries, the occupancy and freshness masks and the
+// freshness cycle stamp), and the NI source queues. Buffers and queues
+// count their live lengths, not backing capacities, so the figure is a
 // deterministic function of the scenario — independent of allocator
 // growth policy and Go version — and the perf gate tracks it per router
 // as live-bytes/router: the memory-compactness counterpart of the
@@ -236,17 +237,19 @@ func (n *Network) LiveStateBytes() uint64 {
 	for _, r := range n.routers {
 		for _, p := range r.in {
 			for i := range p.bufs {
-				b += p.bufs[i].bytes(handleBytes)
+				b += uint64(p.bufs[i].len() * handleBytes)
 			}
-			// Per-VC switching entries (flag + port pointer + VC, padded).
-			b += uint64(len(p.route)) * 24
+			// Per-VC switching entries (port pointer + VC).
+			b += uint64(len(p.route)) * 16
 		}
 		for _, op := range r.out {
-			for _, v := range op.vcs {
-				b += v.q.bytes(handleBytes)
+			for vc := range op.vcs {
+				v := &op.vcs[vc]
+				b += uint64(v.q.len() * handleBytes)
 			}
 		}
-		b += uint64(len(r.inOcc)+len(r.ejOcc)+len(r.outOcc)) * 8
+		b += uint64(len(r.inOcc)+len(r.ejOcc)+len(r.outOcc)+len(r.freshIn)+len(r.freshOut)) * 8
+		b += 8 // freshAt
 	}
 	for _, s := range n.nis {
 		b += s.queue.bytes(indexBytes)

@@ -36,7 +36,7 @@ import (
 //     its occupancy can only shrink (the owner pops, nobody else
 //     pushes) until this very port pushes. The engine therefore keeps
 //     per-(port,VC) CREDIT counters on every boundary port
-//     (outPort.credits), snapshotted from the downstream buffers at
+//     (decomposition.credits), snapshotted from the downstream buffers at
 //     each barrier (refreshBoundaryCredits): a positive credit proves
 //     the slot still has room at the serial decision point, so the
 //     flit departs speculatively on the spot; a zero credit means only
@@ -98,11 +98,17 @@ import (
 // cycles; OnEject replies run in the ejection replay), so arena growth
 // and the free stack are only ever touched single-threaded. The
 // per-record fields shards write concurrently — recv during ejection,
-// injected during injection, hops and lastMove during link traversal —
-// are distinct word-sized array elements owned by exactly one shard at
-// any time, and the barrier atomics (plus the popsDone/linkDone
-// publishes, which order a shard's pops and mailbox appends before any
-// foreign read) order them, so the engine stays race-clean.
+// injected during injection, hops during link traversal — are distinct
+// word-sized array elements owned by exactly one shard at any time, and
+// the barrier atomics (plus the popsDone/linkDone publishes, which
+// order a shard's pops and mailbox appends before any foreign read)
+// order them, so the engine stays race-clean. The one-stage-per-cycle
+// state is per router, not per record: a router's freshness masks and
+// freshAt stamp are written only by the pushes into its own buffers —
+// its switch and inject pushes, same-shard link arrivals and its
+// shard's inbox drain — all on the owning shard, and read only by that
+// shard's switch and link passes over the router, so they have a
+// single writer and no foreign reader.
 //
 // Synchronization is a generation (sense-reversing) barrier: the
 // coordinator publishes the pass kind, re-arms a countdown and bumps an
@@ -126,9 +132,21 @@ import (
 
 // decomposition is one partition of the routers into contiguous shards
 // with ranges [s·N/K, (s+1)·N/K); shardOf is the inverse lookup table.
+//
+// credits is the cycle-start credit snapshot of every cross-shard
+// output port, indexed by channel ID × VCs + VC: the free slots of the
+// downstream input slot at the last barrier (refreshBoundaryCredits).
+// It exists only in multi-shard decompositions and only boundary ports'
+// entries are maintained. A positive count proves the slot still has
+// room at the serial decision point mid-cycle (the port is the slot's
+// only producer, so its occupancy can only shrink until the port
+// pushes), licensing speculative delivery; a zero count makes the port
+// synchronize on the downstream shard's pop completion and re-read
+// exact occupancy.
 type decomposition struct {
 	shards  []shard
 	shardOf []int32
+	credits []int16
 }
 
 // shard is one domain of a decomposition: a contiguous router range,
@@ -339,9 +357,9 @@ func (n *Network) Shards() int { return n.shardCount }
 
 // newDecomposition builds the k-shard decomposition: the shard ranges,
 // the inverse lookup table, each shard's canonical boundary-port and
-// sender lists, the per-pair mailboxes and the boundary ports' credit
-// arrays. k == 1 yields the serial engine's decomposition: one shard
-// covering every router, with no boundary port, sender or mailbox.
+// sender lists, the per-pair mailboxes and the credit snapshot. k == 1
+// yields the serial engine's decomposition: one shard covering every
+// router, with no boundary port, sender, mailbox or credit.
 func (n *Network) newDecomposition(k int) decomposition {
 	nodes := n.topo.Nodes()
 	d := decomposition{shards: make([]shard, k), shardOf: make([]int32, nodes)}
@@ -355,9 +373,10 @@ func (n *Network) newDecomposition(k int) decomposition {
 		}
 	}
 	// Second pass (shardOf must be complete): precompute the canonical
-	// boundary-port lists, size the mailboxes and allocate the credit
-	// counters on every cross-shard port.
-	vcs := n.alg.VCs()
+	// boundary-port lists and size the mailboxes.
+	if k > 1 {
+		d.credits = make([]int16, len(n.topo.Channels())*n.alg.VCs())
+	}
 	for s := 0; s < k; s++ {
 		sh := &d.shards[s]
 		sh.outbox = make([][]pushRecord, k)
@@ -372,9 +391,6 @@ func (n *Network) newDecomposition(k int) decomposition {
 			t := d.shardOf[bp.op.ch.Dst]
 			if sh.outbox[t] == nil {
 				sh.outbox[t] = make([]pushRecord, 0, initialMailboxCap)
-			}
-			if bp.op.credits == nil {
-				bp.op.credits = make([]int16, vcs)
 			}
 		}
 	}
@@ -709,14 +725,14 @@ func (n *Network) drainInboxes(s *shard, g uint64) {
 // "cycle start", so credits[vc] == free slots of peer.bufs[vc] holds at
 // every cycle boundary (an invariant CheckConservation enforces).
 func (n *Network) refreshBoundaryCredits() {
-	bufCap := n.cfg.InBufCap
-	shards := n.dec.shards
-	for i := range shards {
-		s := &shards[i]
+	d := n.dec
+	for i := range d.shards {
+		s := &d.shards[i]
 		for _, bp := range s.bports {
 			ip := bp.op.peer
+			base := bp.op.ch.ID * len(ip.bufs)
 			for vc := range ip.bufs {
-				bp.op.credits[vc] = int16(bufCap - ip.bufs[vc].len())
+				d.credits[base+vc] = int16(ip.bufs[vc].free())
 			}
 		}
 	}
@@ -749,6 +765,9 @@ func (n *Network) checkShardInvariants() error {
 	}
 	if k < 1 || len(d.shards) != k || len(d.shardOf) != nodes {
 		return fmt.Errorf("noc: %v engine with %d shards configured but %d built", n.engine, k, len(d.shards))
+	}
+	if want := len(n.topo.Channels()) * n.alg.VCs(); k > 1 && len(d.credits) != want {
+		return fmt.Errorf("noc: credit snapshot holds %d counters for %d channel VCs", len(d.credits), want)
 	}
 	for i := range d.shards {
 		s := &d.shards[i]
@@ -799,17 +818,13 @@ func (n *Network) checkShardInvariants() error {
 					return fmt.Errorf("noc: shard %d boundary-port list out of order or incomplete at node %d", i, v)
 				}
 				ip := op.peer
-				if len(op.credits) < len(ip.bufs) {
-					return fmt.Errorf("noc: boundary port %d->%d has %d credit counters for %d VCs",
-						v, op.ch.Dst, len(op.credits), len(ip.bufs))
-				}
 				for vc := range ip.bufs {
-					c := int(op.credits[vc])
+					c := int(d.credits[op.ch.ID*len(ip.bufs)+vc])
 					if c < 0 {
 						return fmt.Errorf("noc: boundary port %d->%d VC %d credit overdraft (%d)",
 							v, op.ch.Dst, vc, c)
 					}
-					if want := n.cfg.InBufCap - ip.bufs[vc].len(); c != want {
+					if want := ip.bufs[vc].free(); c != want {
 						return fmt.Errorf("noc: boundary port %d->%d VC %d holds %d credits, downstream buffer has %d free slots",
 							v, op.ch.Dst, vc, c, want)
 					}

@@ -300,13 +300,13 @@ func TestParallelInvariantsCatchCorruption(t *testing.T) {
 	if len(par.dec.shards[0].bports) == 0 {
 		t.Fatal("expected cross-shard boundary ports on shard 0")
 	}
-	par.dec.shards[0].bports[0].op.credits[0]++
+	par.dec.credits[par.dec.shards[0].bports[0].op.ch.ID*par.alg.VCs()]++
 	if err := par.CheckConservation(); err == nil {
 		t.Fatal("conservation check missed a stale boundary credit counter")
 	}
 
 	par = build()
-	par.dec.shards[0].bports[0].op.credits[0] = -1
+	par.dec.credits[par.dec.shards[0].bports[0].op.ch.ID*par.alg.VCs()] = -1
 	if err := par.CheckConservation(); err == nil {
 		t.Fatal("conservation check missed a credit overdraft")
 	}

@@ -127,7 +127,7 @@ func TestCheckConservationCatchesDoubleFree(t *testing.T) {
 	if err := net.Inject(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	queued := net.nis[0].queue.head()
+	queued := net.nis[0].queue.live()[0]
 	net.arena.free[queued] = true
 	err = net.CheckConservation()
 	if err == nil || !strings.Contains(err.Error(), "double free") {
@@ -151,7 +151,7 @@ func TestDoubleRecyclePanics(t *testing.T) {
 	if err := net.Inject(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	pi := net.nis[0].queue.head()
+	pi := net.nis[0].queue.live()[0]
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double recycle did not panic")
