@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"testing"
 
@@ -220,11 +219,12 @@ func stateChain(t *testing.T, s Scenario, engine noc.Engine, shards int, onEject
 	return out
 }
 
-// oracleMatrix draws the frozen scenario matrix: every topology family
-// and mesh routing override, uniform and hot-spot traffic, all three
-// switching modes, packet lengths 1–8, input buffers 1–3, inject rates
-// 1–3, sink rates 1–2, bounded and unbounded source queues, Poisson and
-// Bernoulli arrivals, and loads from near idle to past saturation.
+// oracleMatrix draws one scenario of the frozen matrix. The draws span
+// every topology family and mesh routing override, uniform and hot-spot
+// traffic, all three switching modes, packet lengths 1–8, input
+// buffers 1–3, inject rates 1–3, sink rates 1–2, bounded and unbounded
+// source queues, Poisson and Bernoulli arrivals, and loads from near
+// idle to past saturation.
 func oracleMatrix(rng *sim.RNG) Scenario {
 	type geo struct {
 		topo  TopologyKind
@@ -368,5 +368,5 @@ func recordOracle(t *testing.T) {
 	if err := os.WriteFile(oraclePath, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "kernel oracle: recorded %d digests and %d chains\n", len(of.Digests), len(of.Chains))
+	t.Logf("kernel oracle: recorded %d digests and %d chains", len(of.Digests), len(of.Chains))
 }

@@ -76,16 +76,20 @@ func (q *fifo[T]) bytes(elemSize int) uint64 { return uint64(q.len() * elemSize)
 // panics instead of growing the buffer.
 type slotQ struct{ h []flitH }
 
-func (q *slotQ) len() int     { return len(q.h) }
-func (q *slotQ) free() int    { return cap(q.h) - len(q.h) }
-func (q *slotQ) full() bool   { return len(q.h) == cap(q.h) }
-func (q *slotQ) head() flitH  { return q.h[0] }
-func (q *slotQ) push(h flitH) { q.h = q.h[:len(q.h)+1]; q.h[len(q.h)-1] = h }
-func (q *slotQ) reset()       { q.h = q.h[:0] }
+func (q *slotQ) len() int    { return len(q.h) }
+func (q *slotQ) free() int   { return cap(q.h) - len(q.h) }
+func (q *slotQ) full() bool  { return len(q.h) == cap(q.h) }
+func (q *slotQ) head() flitH { return q.h[0] }
+func (q *slotQ) reset()      { q.h = q.h[:0] }
 
 // live returns the queued handles in FIFO order. The slice aliases the
 // queue; callers must not retain it across a push or pop.
 func (q *slotQ) live() []flitH { return q.h }
+
+func (q *slotQ) push(h flitH) {
+	q.h = q.h[:len(q.h)+1] // past capacity this panics; append would reallocate
+	q.h[len(q.h)-1] = h
+}
 
 func (q *slotQ) pop() flitH {
 	h := q.h[0]
@@ -285,7 +289,7 @@ func newRouters(t topology.Topology, vcs, stride, inCap, outCap int) []*router {
 		return q
 	}
 	mask := func(bits int) slotMask {
-		m := slotMask(maskBlock[:maskWords(bits):maskWords(bits)])
+		m := slotMask(maskBlock[:maskWords(bits)])
 		maskBlock = maskBlock[len(m):]
 		return m
 	}
@@ -300,8 +304,8 @@ func newRouters(t topology.Topology, vcs, stride, inCap, outCap int) []*router {
 		for i, c := range ins {
 			p := &inBlock[i]
 			p.chID, p.slotBase = c.ID, i*stride
-			p.bufs = bufBlock[i*vcs : (i+1)*vcs : (i+1)*vcs]
-			p.route = routeBlock[i*vcs : (i+1)*vcs : (i+1)*vcs]
+			p.bufs = bufBlock[i*vcs : (i+1)*vcs]
+			p.route = routeBlock[i*vcs : (i+1)*vcs]
 			for vc := range p.bufs {
 				p.bufs[vc].h = carve(inCap)
 			}
@@ -312,7 +316,7 @@ func newRouters(t topology.Topology, vcs, stride, inCap, outCap int) []*router {
 		for i, c := range outs {
 			op := &outBlock[i]
 			op.ch, op.slotBase = c, i*stride
-			op.vcs = vcBlock[i*vcs : (i+1)*vcs : (i+1)*vcs]
+			op.vcs = vcBlock[i*vcs : (i+1)*vcs]
 			for vc := range op.vcs {
 				op.vcs[vc].q.h = carve(outCap)
 				op.vcs[vc].owner = -1
