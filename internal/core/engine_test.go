@@ -2,79 +2,80 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gonoc/internal/noc"
 	"gonoc/internal/sim"
 )
 
-// runBothEngines executes s under the activity-driven engine (with its
-// idle fast-forward) and under the reference sweep engine — each with
-// the packet pool enabled and disabled — and fails the test unless all
-// four Results are bit-identical — struct equality and serialized JSON
-// both. Engine and pooling are the two knobs documented as
-// result-neutral; this helper is the proof backing that claim for
-// every golden and randomized scenario.
-func runBothEngines(t *testing.T, s Scenario) Result {
+// runGolden executes s under the activity-driven engine (with its idle
+// fast-forward) with the packet pool enabled and disabled, fails the
+// test unless both Results are bit-identical — struct equality and
+// serialized JSON both — and holds the WriteResultJSON digest to the
+// one recorded for name in the kernel oracle. Pooling is documented as
+// result-neutral and is compared live; the recorded digests freeze the
+// results every engine must reproduce.
+func runGolden(t *testing.T, name string, s Scenario) Result {
 	t.Helper()
 	s.Engine = noc.EngineActive
 	s.NoPool = false
 	got, err := Run(s)
 	if err != nil {
-		t.Fatalf("%s [active]: %v", s.Label(), err)
+		t.Fatalf("%s [pooled]: %v", s.Label(), err)
 	}
-	for _, v := range []struct {
-		name   string
-		engine noc.Engine
-		noPool bool
-	}{
-		{"sweep", noc.EngineSweep, false},
-		{"active/no-pool", noc.EngineActive, true},
-		{"sweep/no-pool", noc.EngineSweep, true},
-	} {
-		s.Engine = v.engine
-		s.NoPool = v.noPool
-		want, err := Run(s)
-		if err != nil {
-			t.Fatalf("%s [%s]: %v", s.Label(), v.name, err)
-		}
-		// The engine/pooling choice itself is the only permitted
-		// difference.
-		want.Scenario.Engine = got.Scenario.Engine
-		want.Scenario.NoPool = got.Scenario.NoPool
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: %s disagrees with active/pooled:\nactive: %+v\nother:  %+v", s.Label(), v.name, got, want)
-		}
-		var ga, gs bytes.Buffer
-		if err := WriteResultJSON(&ga, got); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteResultJSON(&gs, want); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ga.Bytes(), gs.Bytes()) {
-			t.Fatalf("%s: serialized results differ for %s", s.Label(), v.name)
-		}
+	s.NoPool = true
+	want, err := Run(s)
+	if err != nil {
+		t.Fatalf("%s [no-pool]: %v", s.Label(), err)
+	}
+	// The pooling choice itself is the only permitted difference.
+	want.Scenario.NoPool = got.Scenario.NoPool
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: no-pool disagrees with pooled:\npooled:  %+v\nno-pool: %+v", s.Label(), got, want)
+	}
+	var gp, gn bytes.Buffer
+	if err := WriteResultJSON(&gp, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteResultJSON(&gn, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gp.Bytes(), gn.Bytes()) {
+		t.Fatalf("%s: serialized results differ with pooling off", s.Label())
+	}
+	sum := sha256.Sum256(gp.Bytes())
+	if d, rec := hex.EncodeToString(sum[:]), goldenDigest(t, name); d != rec {
+		t.Fatalf("%s (%s): result digest %s, recorded %s", name, s.Label(), d, rec)
 	}
 	return got
 }
 
-// The golden cross-engine matrix: the paper's three topologies at a
-// load below the knee, at the knee, and past saturation, under both
-// wormhole and virtual cut-through. Run output — every field of
-// Result, hence every figure the exp stack derives from it — must be
-// unchanged by the activity-driven refactor.
-func TestGoldenCrossEngineMatrix(t *testing.T) {
-	type load struct {
+// namedScenario is one golden scenario with its oracle key.
+type namedScenario struct {
+	name string
+	s    Scenario
+}
+
+// goldenMatrix is the golden cross-engine matrix: the paper's three
+// topologies at a load below the knee, at the knee, and past
+// saturation, under both wormhole and virtual cut-through, plus a
+// hot-spot run that exercises the ejection-port bottleneck paths.
+// Names are the subtest names.
+func goldenMatrix() []namedScenario {
+	loads := []struct {
 		name   string
 		lambda float64
-	}
-	loads := []load{
+	}{
 		{"low", 0.01},       // ~0.06 flits/cycle/source: mostly idle
 		{"knee", 0.05},      // near the throughput flattening
 		{"saturated", 0.15}, // well past saturation
 	}
+	var out []namedScenario
 	for _, topo := range []TopologyKind{Ring, Spidergon, Mesh} {
 		for _, ld := range loads {
 			for _, sw := range []noc.Switching{noc.Wormhole, noc.VirtualCutThrough} {
@@ -84,28 +85,23 @@ func TestGoldenCrossEngineMatrix(t *testing.T) {
 				if sw != noc.Wormhole {
 					s.Config.OutBufCap = s.Config.PacketLen
 				}
-				t.Run(string(topo)+"/"+ld.name+"/"+sw.String(), func(t *testing.T) {
-					r := runBothEngines(t, s)
-					if ld.name != "low" && r.EjectedPackets == 0 {
-						t.Fatal("degenerate run: nothing ejected")
-					}
-				})
+				out = append(out, namedScenario{string(topo) + "/" + ld.name + "/" + sw.String(), s})
 			}
 		}
 	}
-	// Hot-spot traffic exercises the ejection-port bottleneck paths.
 	hs := NewScenario(Spidergon, 16, HotSpotTraffic, 0.03)
 	hs.HotSpots = []int{5}
 	hs.Warmup, hs.Measure = 200, 1500
-	t.Run("spidergon/hotspot", func(t *testing.T) { runBothEngines(t, hs) })
+	return append(out, namedScenario{"spidergon/hotspot", hs})
 }
 
-// Fuzz-style scenario equivalence: random draws over the full scenario
-// space (topology family, node count, traffic, switching, interface
-// rates, arrival process) must keep the engines bit-identical.
-func TestGoldenCrossEngineRandomScenarios(t *testing.T) {
+// goldenRandom draws the golden random scenarios over the full
+// scenario space (topology family, node count, traffic, switching,
+// interface rates, arrival process).
+func goldenRandom() []namedScenario {
 	rng := sim.NewRNG(2026)
 	topos := []TopologyKind{Ring, Spidergon, Mesh, Torus}
+	var out []namedScenario
 	for trial := 0; trial < 10; trial++ {
 		s := NewScenario(topos[rng.Intn(len(topos))], 8+4*rng.Intn(3), UniformTraffic, 0.005+0.08*rng.Float64())
 		if s.Topo == Spidergon && s.Nodes%4 != 0 {
@@ -127,7 +123,34 @@ func TestGoldenCrossEngineRandomScenarios(t *testing.T) {
 		s.Warmup = 100 + 50*rng.Uint64()%200
 		s.Measure = 500 + rng.Uint64()%1000
 		s.Seed = rng.Uint64()
-		runBothEngines(t, s)
+		out = append(out, namedScenario{fmt.Sprintf("random/%d", trial), s})
+	}
+	return out
+}
+
+// goldenScenarios lists every scenario whose digest the oracle records
+// under its name.
+func goldenScenarios() []namedScenario { return append(goldenMatrix(), goldenRandom()...) }
+
+// Run output — every field of Result, hence every figure the exp stack
+// derives from it — must match the recorded digests across the golden
+// matrix.
+func TestGoldenCrossEngineMatrix(t *testing.T) {
+	for _, g := range goldenMatrix() {
+		t.Run(g.name, func(t *testing.T) {
+			r := runGolden(t, g.name, g.s)
+			if !strings.Contains(g.name, "/low/") && r.EjectedPackets == 0 {
+				t.Fatal("degenerate run: nothing ejected")
+			}
+		})
+	}
+}
+
+// Fuzz-style scenario equivalence: random draws over the full scenario
+// space must keep reproducing their recorded results.
+func TestGoldenCrossEngineRandomScenarios(t *testing.T) {
+	for _, g := range goldenRandom() {
+		runGolden(t, g.name, g.s)
 	}
 }
 

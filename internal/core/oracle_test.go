@@ -6,8 +6,11 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
+	"sync"
 	"testing"
 
 	"gonoc/internal/noc"
@@ -38,6 +41,15 @@ const oraclePath = "testdata/kernel-oracle.json"
 type oracleFile struct {
 	Digests []oracleDigest `json:"digests"`
 	Chains  []oracleChain  `json:"chains"`
+	// Golden holds the result digests of the golden cross-engine
+	// scenarios (engine_test.go), keyed by name.
+	Golden []oracleNamed `json:"golden"`
+}
+
+// oracleNamed is the digest of one named golden scenario's result.
+type oracleNamed struct {
+	Name   string `json:"name"`
+	SHA256 string `json:"sha256"`
 }
 
 // oracleDigest pairs a scenario with the digest of its result document.
@@ -75,18 +87,54 @@ var oracleEngines = []struct {
 	{"parallel-3", noc.EngineActive, 3},
 }
 
+var (
+	oracleOnce sync.Once
+	oracleData oracleFile
+	oracleErr  error
+)
+
+// loadOracle returns the parsed oracle file, re-recording it first
+// (once per test binary) under -update-oracle.
+func loadOracle(t *testing.T) *oracleFile {
+	t.Helper()
+	oracleOnce.Do(func() {
+		oracleErr = errors.New("recording the oracle failed")
+		if *updateOracle {
+			recordOracle(t)
+		}
+		raw, err := os.ReadFile(oraclePath)
+		if err != nil {
+			oracleErr = err
+			return
+		}
+		if err := json.Unmarshal(raw, &oracleData); err != nil {
+			oracleErr = fmt.Errorf("parsing %s: %w", oraclePath, err)
+			return
+		}
+		oracleErr = nil
+	})
+	if oracleErr != nil {
+		t.Fatal(oracleErr)
+	}
+	return &oracleData
+}
+
+// goldenDigest returns the recorded result digest of the named golden
+// scenario.
+func goldenDigest(t *testing.T, name string) string {
+	t.Helper()
+	for _, g := range loadOracle(t).Golden {
+		if g.Name == name {
+			return g.SHA256
+		}
+	}
+	t.Fatalf("%s holds no golden digest for %q (re-record with -update-oracle)", oraclePath, name)
+	return ""
+}
+
 func TestKernelOracle(t *testing.T) {
-	if *updateOracle {
-		recordOracle(t)
-	}
-	raw, err := os.ReadFile(oraclePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var of oracleFile
-	if err := json.Unmarshal(raw, &of); err != nil {
-		t.Fatalf("parsing %s: %v", oraclePath, err)
-	}
+	of := loadOracle(t)
+	var err error
 	if len(of.Digests) != oracleMatrixSize || len(of.Chains) == 0 {
 		t.Fatalf("%s holds %d digests and %d chains", oraclePath, len(of.Digests), len(of.Chains))
 	}
@@ -345,6 +393,10 @@ func recordOracle(t *testing.T) {
 		}
 		of.Digests = append(of.Digests, oracleDigest{Scenario: js, SHA256: resultDigest(t, s)})
 	}
+	for _, g := range goldenScenarios() {
+		g.s.Engine = noc.EngineSweep
+		of.Golden = append(of.Golden, oracleNamed{Name: g.name, SHA256: resultDigest(t, g.s)})
+	}
 	for _, c := range oracleChainScenarios() {
 		js, err := json.Marshal(c.s)
 		if err != nil {
@@ -368,5 +420,6 @@ func recordOracle(t *testing.T) {
 	if err := os.WriteFile(oraclePath, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("kernel oracle: recorded %d digests and %d chains", len(of.Digests), len(of.Chains))
+	t.Logf("kernel oracle: recorded %d digests, %d chains and %d golden digests",
+		len(of.Digests), len(of.Chains), len(of.Golden))
 }

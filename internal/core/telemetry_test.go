@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"testing"
 
 	"gonoc/internal/noc"
@@ -117,32 +118,36 @@ func equalRows(a, b []uint64) bool {
 	return true
 }
 
-// TestTelemetryGapElision pins the fast-forward contract: the active
-// engine elides quiescent cycles from the capture (no samples), the
-// sweep engine ticks and samples every cycle — and on the cycles both
-// did sample, the rows must agree exactly.
-func TestTelemetryGapElision(t *testing.T) {
-	// A near-idle spidergon leaves long quiescent gaps between packets.
+// gapCapturePath holds the every-cycle telemetry capture of the
+// gap-elision scenario: one sample per cycle, quiescent cycles
+// included, as the reference sweep engine recorded it.
+const gapCapturePath = "testdata/telemetry-gap-every-cycle.tsd"
+
+// gapScenario is a near-idle spidergon that leaves long quiescent gaps
+// between packets.
+func gapScenario() Scenario {
 	s := NewScenario(Spidergon, 16, UniformTraffic, 0.0008)
 	s.Warmup = 0
 	s.Measure = 4000
 	s.Seed = 3
+	return s
+}
 
-	sa := s
-	sa.Engine = noc.EngineActive
-	rawA, stA, _ := captureRun(t, sa, 64)
-
-	ss := s
-	ss.Engine = noc.EngineSweep
-	rawS, stS, _ := captureRun(t, ss, 64)
-
-	if stA.Samples >= stS.Samples {
-		t.Fatalf("active engine elided nothing: %d samples vs sweep's %d", stA.Samples, stS.Samples)
+// TestTelemetryGapElision pins the fast-forward contract against the
+// recorded every-cycle capture: the active engine elides quiescent
+// cycles from its capture (no samples), and on the cycles it did
+// sample its rows must equal the recorded rows exactly.
+func TestTelemetryGapElision(t *testing.T) {
+	s := gapScenario()
+	if *updateOracle {
+		ss := s
+		ss.Engine = noc.EngineSweep
+		raw, _, _ := captureRun(t, ss, 64)
+		if err := os.WriteFile(gapCapturePath, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if stS.Samples != s.Measure+1 {
-		t.Fatalf("sweep sampled %d cycles, want %d", stS.Samples, s.Measure+1)
-	}
-	ca, err := telemetry.Decode(bytes.NewReader(rawA))
+	rawS, err := os.ReadFile(gapCapturePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +155,21 @@ func TestTelemetryGapElision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sweep samples cycle c at row index c; every active sample must
-	// match it. Gap cycles are absent from the active capture by
-	// construction (strictly increasing cycle column checked too).
+	rawA, stA, _ := captureRun(t, s, 64)
+	if stA.Samples >= uint64(cs.Samples()) {
+		t.Fatalf("active engine elided nothing: %d samples vs the recorded %d", stA.Samples, cs.Samples())
+	}
+	if uint64(cs.Samples()) != s.Measure+1 {
+		t.Fatalf("recorded capture holds %d samples, want %d", cs.Samples(), s.Measure+1)
+	}
+	ca, err := telemetry.Decode(bytes.NewReader(rawA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The recorded capture samples cycle c at row index c; every active
+	// sample must match it. Gap cycles are absent from the active
+	// capture by construction (strictly increasing cycle column checked
+	// too).
 	prev := uint64(0)
 	for i := 0; i < ca.Samples(); i++ {
 		cyc := ca.Cycle(i)
@@ -161,13 +178,13 @@ func TestTelemetryGapElision(t *testing.T) {
 		}
 		prev = cyc
 		if cyc >= uint64(cs.Samples()) {
-			t.Fatalf("active sample %d at cycle %d beyond sweep capture", i, cyc)
+			t.Fatalf("active sample %d at cycle %d beyond the recorded capture", i, cyc)
 		}
 		if cs.Cycle(int(cyc)) != cyc {
-			t.Fatalf("sweep capture row %d holds cycle %d", cyc, cs.Cycle(int(cyc)))
+			t.Fatalf("recorded capture row %d holds cycle %d", cyc, cs.Cycle(int(cyc)))
 		}
 		if !equalRows(ca.Row(i), cs.Row(int(cyc))) {
-			t.Fatalf("cycle %d: active and sweep rows differ", cyc)
+			t.Fatalf("cycle %d: active and recorded rows differ", cyc)
 		}
 	}
 }

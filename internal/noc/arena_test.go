@@ -67,9 +67,10 @@ func TestNewNetworkRejectsOversizedGeometry(t *testing.T) {
 
 // With enough VCs the per-router occupancy masks span multiple words
 // (the seed's engine was limited to 64 slots — one word — per router).
-// All three engines must agree cycle for cycle on such a fabric, at
-// every shard count, proving the multi-word set/clear/port extraction
-// and the cross-word worklist retirement.
+// On such a fabric the serial engine must reproduce the recorded chain
+// and every shard count must agree with it cycle for cycle, proving the
+// multi-word set/clear/port extraction and the cross-word worklist
+// retirement.
 func TestMultiWordMasksCrossEngine(t *testing.T) {
 	const vcs = 17 // stride rounds to 32; 4-port mesh routers span 128 mask bits
 	build := func() *Network {
@@ -81,7 +82,6 @@ func TestMultiWordMasksCrossEngine(t *testing.T) {
 		return n
 	}
 	ref := build()
-	ref.SetEngine(EngineSweep)
 	// The test must actually exercise multi-word masks: an interior
 	// mesh node has 4 input ports, so its mask is 4*32 = 128 bits.
 	multi := false
@@ -93,12 +93,16 @@ func TestMultiWordMasksCrossEngine(t *testing.T) {
 	if !multi {
 		t.Fatal("geometry fits one mask word — test is vacuous")
 	}
+	if *updateOracle {
+		ref.SetEngine(EngineSweep)
+	}
 
-	nets := []*Network{ref, build()} // sweep + active
+	nets := []*Network{ref}
 	for _, k := range parallelShardCounts {
 		nets = append(nets, newParallelNet(t, topology.MustMesh(4, 4),
 			inflatedVCs{routing.NewMeshXY(topology.MustMesh(4, 4)), vcs}, DefaultConfig(), k))
 	}
+	var chain fingerprintChain
 	rng := sim.NewRNG(17)
 	for cycle := 0; cycle < 2500; cycle++ {
 		if rng.Bernoulli(0.4) {
@@ -111,16 +115,14 @@ func TestMultiWordMasksCrossEngine(t *testing.T) {
 				}
 			}
 		}
-		want := ""
-		for i, n := range nets {
+		for _, n := range nets {
 			n.Step()
-			fp := stateFingerprint(n)
-			if i == 0 {
-				want = fp
-				continue
-			}
-			if fp != want {
-				t.Fatalf("engine %d diverged at cycle %d:\nsweep: %s\ngot:   %s", i, cycle, want, fp)
+		}
+		chain.add(ref)
+		want := stateFingerprint(ref)
+		for i, n := range nets[1:] {
+			if fp := stateFingerprint(n); fp != want {
+				t.Fatalf("%d shards diverged at cycle %d:\nserial: %s\ngot:    %s", parallelShardCounts[i], cycle, want, fp)
 			}
 		}
 	}
@@ -132,6 +134,11 @@ func TestMultiWordMasksCrossEngine(t *testing.T) {
 			t.Fatalf("engine %d: %v", i, err)
 		}
 	}
+	chain.finish(ref)
+	if *updateOracle {
+		recordChain(t, "multi-word-masks", chain)
+	}
+	checkChain(t, "multi-word-masks", chain)
 }
 
 // arenaResetTrial drives a random prefix workload, Resets mid-flight

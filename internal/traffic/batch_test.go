@@ -1,7 +1,12 @@
 package traffic
 
 import (
+	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
+	"io/fs"
+	"os"
 	"testing"
 
 	"gonoc/internal/noc"
@@ -22,9 +27,65 @@ func netSummary(net *noc.Network) string {
 		col.MeanHops(), col.SourceBlockedCycles())
 }
 
+// The unbatched streams are frozen as data:
+// testdata/unbatched-streams.json maps each workload below to the
+// summary the one-event-per-arrival reference emission produced. Every
+// batched run must reproduce it. Re-record only for an intended change
+// of the packet streams, and log it in CHANGES.md:
+//
+//	go test ./internal/traffic -run Batch -update-oracle
+var updateOracle = flag.Bool("update-oracle", false, "re-record testdata/unbatched-streams.json")
+
+const streamsPath = "testdata/unbatched-streams.json"
+
+// readStreams loads the recorded stream summaries; a missing file reads
+// as empty.
+func readStreams(t *testing.T) map[string]string {
+	t.Helper()
+	streams := map[string]string{}
+	raw, err := os.ReadFile(streamsPath)
+	if errors.Is(err, fs.ErrNotExist) {
+		return streams
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &streams); err != nil {
+		t.Fatalf("parsing %s: %v", streamsPath, err)
+	}
+	return streams
+}
+
+// recordStream stores summary under name in the streams file.
+func recordStream(t *testing.T, name, summary string) {
+	t.Helper()
+	streams := readStreams(t)
+	streams[name] = summary
+	data, err := json.MarshalIndent(streams, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(streamsPath, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recordedStream returns the summary recorded under name.
+func recordedStream(t *testing.T, name string) string {
+	t.Helper()
+	s, ok := readStreams(t)[name]
+	if !ok {
+		t.Fatalf("%s holds no stream %q (re-record with -update-oracle)", streamsPath, name)
+	}
+	return s
+}
+
 // driveGenerator runs one Poisson generator to the horizon and returns
-// the network summary plus the offered-packet count.
-func driveGenerator(t *testing.T, nodes int, rate float64, seed uint64, batch bool) (string, uint64) {
+// the offered-packet count and the network summary.
+func driveGenerator(t *testing.T, nodes int, rate float64, seed uint64, batch bool) string {
 	t.Helper()
 	net := buildNet(t, nodes)
 	k := sim.NewKernel()
@@ -38,10 +99,13 @@ func driveGenerator(t *testing.T, nodes int, rate float64, seed uint64, batch bo
 	tick.OnTick(func(uint64) { net.Step() })
 	tick.Start()
 	k.RunUntil(4000)
-	return netSummary(net), g.OfferedPackets()
+	if g.OfferedPackets() == 0 {
+		t.Fatal("degenerate run: nothing offered")
+	}
+	return fmt.Sprintf("off=%d %s", g.OfferedPackets(), netSummary(net))
 }
 
-// Batched emission must produce the identical packet stream to the
+// Batched emission must produce the packet stream recorded from the
 // one-event-per-arrival reference — same seed, same arrivals, same
 // cycles, same deliveries — from well below saturation (where batching
 // rarely engages) to far past it (where most events carry several
@@ -58,25 +122,22 @@ func TestGeneratorBatchedMatchesUnbatched(t *testing.T) {
 		{"deep-saturation", 2.5, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			batched, offB := driveGenerator(t, 16, tc.rate, tc.seed, true)
-			plain, offP := driveGenerator(t, 16, tc.rate, tc.seed, false)
-			if offB != offP {
-				t.Fatalf("offered packets differ: batched %d, unbatched %d", offB, offP)
+			name := "generator/" + tc.name
+			if *updateOracle {
+				recordStream(t, name, driveGenerator(t, 16, tc.rate, tc.seed, false))
 			}
-			if offB == 0 {
-				t.Fatal("degenerate run: nothing offered")
-			}
-			if batched != plain {
-				t.Fatalf("packet streams diverged:\nbatched:   %s\nunbatched: %s", batched, plain)
+			if got, want := driveGenerator(t, 16, tc.rate, tc.seed, true), recordedStream(t, name); got != want {
+				t.Fatalf("packet streams diverged:\nbatched:   %s\nunbatched: %s", got, want)
 			}
 		})
 	}
 }
 
 // Past saturation batching must actually collapse events: the kernel
-// should process far fewer events than arrivals.
+// should process far fewer events than the recorded unbatched run,
+// which took one event per arrival plus one per tick.
 func TestGeneratorBatchingCollapsesEvents(t *testing.T) {
-	run := func(batch bool) (events, offered uint64) {
+	run := func(batch bool) string {
 		net := buildNet(t, 16)
 		k := sim.NewKernel()
 		g, err := NewGenerator(k, net, Uniform{N: 16}, Poisson, 2.0, 5)
@@ -89,12 +150,20 @@ func TestGeneratorBatchingCollapsesEvents(t *testing.T) {
 		tick.OnTick(func(uint64) { net.Step() })
 		tick.Start()
 		k.RunUntil(2000)
-		return k.Processed(), g.OfferedPackets()
+		return fmt.Sprintf("events=%d offered=%d", k.Processed(), g.OfferedPackets())
 	}
-	evB, offB := run(true)
-	evP, offP := run(false)
+	if *updateOracle {
+		recordStream(t, "collapse", run(false))
+	}
+	var evB, offB, evP, offP uint64
+	if _, err := fmt.Sscanf(run(true), "events=%d offered=%d", &evB, &offB); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Sscanf(recordedStream(t, "collapse"), "events=%d offered=%d", &evP, &offP); err != nil {
+		t.Fatal(err)
+	}
 	if offB != offP {
-		t.Fatalf("offered differ: %d vs %d", offB, offP)
+		t.Fatalf("offered differ: %d batched vs %d recorded unbatched", offB, offP)
 	}
 	// λ=2 packets/cycle/source means ~2 arrivals per event when batched.
 	if evB*3 > evP*2 {
@@ -138,8 +207,8 @@ func TestGeneratorMatchesRecordedOfferCount(t *testing.T) {
 	}
 }
 
-// OnOff and RequestReply share the batched handler path; batched and
-// unbatched emission must produce the identical streams, at a bursty
+// OnOff and RequestReply share the batched handler path; batched
+// emission must reproduce the recorded unbatched streams, at a bursty
 // peak rate high enough that batching engages within bursts.
 func TestAppGeneratorsBatchedMatchUnbatched(t *testing.T) {
 	runOnOff := func(batch bool) string {
@@ -157,8 +226,11 @@ func TestAppGeneratorsBatchedMatchUnbatched(t *testing.T) {
 		k.RunUntil(5000)
 		return fmt.Sprintf("off=%d %s", g.OfferedPackets(), netSummary(net))
 	}
-	if a, b := runOnOff(true), runOnOff(false); a != b {
-		t.Fatalf("on/off streams diverged:\nbatched:   %s\nunbatched: %s", a, b)
+	if *updateOracle {
+		recordStream(t, "on-off", runOnOff(false))
+	}
+	if got, want := runOnOff(true), recordedStream(t, "on-off"); got != want {
+		t.Fatalf("on/off streams diverged:\nbatched:   %s\nunbatched: %s", got, want)
 	}
 
 	runRR := func(batch bool) string {
@@ -177,7 +249,10 @@ func TestAppGeneratorsBatchedMatchUnbatched(t *testing.T) {
 		return fmt.Sprintf("req=%d rep=%d done=%d rt=%v %s",
 			rr.Requests(), rr.Replies(), rr.CompletedTransactions(), rr.RoundTrip().Mean(), netSummary(net))
 	}
-	if a, b := runRR(true), runRR(false); a != b {
-		t.Fatalf("request-reply streams diverged:\nbatched:   %s\nunbatched: %s", a, b)
+	if *updateOracle {
+		recordStream(t, "request-reply", runRR(false))
+	}
+	if got, want := runRR(true), recordedStream(t, "request-reply"); got != want {
+		t.Fatalf("request-reply streams diverged:\nbatched:   %s\nunbatched: %s", got, want)
 	}
 }
