@@ -279,31 +279,6 @@ func engineScenario(frac float64) core.Scenario {
 	return s
 }
 
-// BenchmarkEngineMesh8x8 compares the activity-driven engine (with its
-// idle fast-forward) against the reference sweep engine on the paper's
-// largest mesh, below saturation and past it. The low-load ratio is
-// the headline number of the activity-driven refactor; the saturated
-// pair guards against a regression when every router is busy.
-func BenchmarkEngineMesh8x8(b *testing.B) {
-	loads := []struct {
-		name string
-		frac float64
-	}{{"low15", 0.15}, {"low25", 0.25}, {"saturated", 1.5}}
-	for _, load := range loads {
-		for _, eng := range []noc.Engine{noc.EngineActive, noc.EngineSweep} {
-			s := engineScenario(load.frac)
-			s.Engine = eng
-			b.Run(load.name+"/"+eng.String(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Run(s); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkPerfGate feeds the tracked perf-regression gate
 // (bench-baseline.json + cmd/benchgate, run by `make bench-check`).
 // The gated metrics are deterministic work counters — worklist visits

@@ -28,11 +28,11 @@
 // engine (noc.EngineParallel, exposed as -step-parallel and
 // exp.Runner.StepShards) runs the same phase functions across several
 // contiguous shards with deterministic barriers, so a lone saturation
-// point can use the whole machine. The
-// original scan-everything engine is retained (noc.EngineSweep) and
-// golden cross-engine tests prove engines (parallel included, at every
-// shard count), pooling modes and workspace reuse all produce
-// bit-identical Results; a tracked perf gate
+// point can use the whole machine. The original scan-everything
+// engine's results, per-cycle state and telemetry are frozen as test
+// data, and the golden tests prove every shard count, both pooling
+// modes and workspace reuse reproduce them bit for bit; a tracked perf
+// gate
 // (bench-baseline.json + cmd/benchgate, `make bench-check`) fails CI
 // when deterministic work counters or steady-state allocs/packet
 // regress beyond tolerance. The experiment stack:

@@ -23,17 +23,19 @@ import (
 // testdata/kernel-oracle.json holds a randomized scenario matrix with
 // the SHA-256 digest of each scenario's WriteResultJSON bytes, plus a
 // few scripted runs with the hash chain of their per-cycle state
-// fingerprint. Every engine — the sweep reference, the one-shard active
-// kernel and the parallel kernel at 2 and 3 shards — must reproduce
-// every recorded value, so a change to the shared phase kernel that
+// fingerprint, and the digests of the golden cross-engine scenarios
+// (engine_test.go). The values were recorded from the retired
+// scan-everything sweep engine. The phase kernel — one-shard and at 2
+// and 3 shards — must reproduce every recorded value, so a change that
 // moves any result, or any cycle's state, fails here even when all
-// engines move together.
+// shard counts move together.
 //
-// Regenerate (only for an intentional result change) with
+// Re-record only for an intended result change, and log it in
+// CHANGES.md:
 //
-//	go test ./internal/core -run TestKernelOracle -update-oracle
+//	go test ./internal/core -run 'TestKernelOracle|TestTelemetryGapElision' -update-oracle
 
-var updateOracle = flag.Bool("update-oracle", false, "re-record testdata/kernel-oracle.json from the sweep engine")
+var updateOracle = flag.Bool("update-oracle", false, "re-record testdata/kernel-oracle.json and the every-cycle telemetry capture")
 
 const oraclePath = "testdata/kernel-oracle.json"
 
@@ -75,16 +77,15 @@ const (
 )
 
 // oracleEngines are the engine settings every recorded value must hold
-// under: the Scenario fields that select them, and a name for failures.
+// under: the shard count (Scenario.StepParallel; 0 runs the one-shard
+// active engine), and a name for failures.
 var oracleEngines = []struct {
 	name   string
-	engine noc.Engine
 	shards int
 }{
-	{"sweep", noc.EngineSweep, 0},
-	{"active", noc.EngineActive, 0},
-	{"parallel-2", noc.EngineActive, 2},
-	{"parallel-3", noc.EngineActive, 3},
+	{"active", 0},
+	{"parallel-2", 2},
+	{"parallel-3", 3},
 }
 
 var (
@@ -147,7 +148,7 @@ func TestKernelOracle(t *testing.T) {
 	for _, e := range oracleEngines {
 		t.Run(e.name, func(t *testing.T) {
 			for i, s := range scenarios {
-				s.Engine, s.StepParallel = e.engine, e.shards
+				s.StepParallel = e.shards
 				if got := resultDigest(t, s); got != of.Digests[i].SHA256 {
 					t.Errorf("digest %d (%s, %+v): got %s, recorded %s",
 						i, s.Label(), s.Config, got, of.Digests[i].SHA256)
@@ -158,7 +159,7 @@ func TestKernelOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("chain %d: %v", i, err)
 				}
-				got := stateChain(t, s, e.engine, e.shards, c.OnEject, c.Cycles)
+				got := stateChain(t, s, e.shards, c.OnEject, c.Cycles)
 				for k := range c.Checkpoints {
 					if k >= len(got) || got[k] != c.Checkpoints[k] {
 						t.Errorf("chain %d (%s, %+v) first diverges before cycle %d",
@@ -188,14 +189,14 @@ func resultDigest(t *testing.T, s Scenario) string {
 
 // stateChain drives s's network directly for the given cycles — one
 // Bernoulli(Lambda) injection draw per source per cycle from the
-// scenario's pattern and seed, identical under every engine — and
+// scenario's pattern and seed, identical at every shard count — and
 // chains a hash over each cycle's state fingerprint: the packet
 // counters, the idle count, and every node's occupancy, injections and
 // ejections and every channel's traversals. With onEject, each ejected
 // packet's identity and timing is folded in too, in ejection order
 // (which also runs the parallel engine's two-barrier cycle). It returns
 // the chain value at every chainEvery-th cycle.
-func stateChain(t *testing.T, s Scenario, engine noc.Engine, shards int, onEject bool, cycles int) []string {
+func stateChain(t *testing.T, s Scenario, shards int, onEject bool, cycles int) []string {
 	t.Helper()
 	topo, alg, err := s.Build()
 	if err != nil {
@@ -212,8 +213,6 @@ func stateChain(t *testing.T, s Scenario, engine noc.Engine, shards int, onEject
 	if shards > 0 {
 		net.SetShards(shards)
 		net.SetEngine(noc.EngineParallel)
-	} else {
-		net.SetEngine(engine)
 	}
 	defer net.StopWorkers()
 	var rec []byte
@@ -367,7 +366,7 @@ func oracleChainScenarios() []struct {
 	}{{a, true}, {b, false}, {c, true}, {d, false}}
 }
 
-// recordOracle rewrites the oracle file from the sweep reference engine.
+// recordOracle rewrites the oracle file from the active engine.
 // Draws whose run ejects nothing are skipped, so every recorded result
 // carries finite statistics.
 func recordOracle(t *testing.T) {
@@ -379,7 +378,6 @@ func recordOracle(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			continue
 		}
-		s.Engine = noc.EngineSweep
 		r, err := Run(s)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Label(), err)
@@ -394,7 +392,6 @@ func recordOracle(t *testing.T) {
 		of.Digests = append(of.Digests, oracleDigest{Scenario: js, SHA256: resultDigest(t, s)})
 	}
 	for _, g := range goldenScenarios() {
-		g.s.Engine = noc.EngineSweep
 		of.Golden = append(of.Golden, oracleNamed{Name: g.name, SHA256: resultDigest(t, g.s)})
 	}
 	for _, c := range oracleChainScenarios() {
@@ -407,7 +404,7 @@ func recordOracle(t *testing.T) {
 			Scenario:    js,
 			OnEject:     c.onEject,
 			Cycles:      cycles,
-			Checkpoints: stateChain(t, c.s, noc.EngineSweep, 0, c.onEject, cycles),
+			Checkpoints: stateChain(t, c.s, 0, c.onEject, cycles),
 		})
 	}
 	data, err := json.MarshalIndent(of, "", "  ")

@@ -183,20 +183,16 @@ func TestParallelWorkspaceReuse(t *testing.T) {
 			t.Fatalf("shards=%d diverged on a warm workspace", k)
 		}
 	}
-	// Nor must switching back to the serial engines on the same
+	// Nor must switching back to the serial engine on the same
 	// workspace (the network re-enrolls its worklists either way).
-	for _, eng := range []noc.Engine{noc.EngineActive, noc.EngineSweep} {
-		s.StepParallel = 0
-		s.Engine = eng
-		got, err := ws.Run(s)
-		if err != nil {
-			t.Fatalf("%v after parallel: %v", eng, err)
-		}
-		got.Scenario.StepParallel = fresh.Scenario.StepParallel
-		got.Scenario.Engine = fresh.Scenario.Engine
-		if !reflect.DeepEqual(fresh, got) {
-			t.Fatalf("%v after parallel diverged on a warm workspace", eng)
-		}
+	s.StepParallel = 0
+	got, err := ws.Run(s)
+	if err != nil {
+		t.Fatalf("serial after parallel: %v", err)
+	}
+	got.Scenario.StepParallel = fresh.Scenario.StepParallel
+	if !reflect.DeepEqual(fresh, got) {
+		t.Fatal("serial after parallel diverged on a warm workspace")
 	}
 }
 
@@ -207,7 +203,7 @@ func TestStepParallelExcludedFromCacheKey(t *testing.T) {
 	a := NewScenario(Mesh, 16, UniformTraffic, 0.05)
 	b := a
 	b.StepParallel = 7
-	b.Engine = noc.EngineSweep
+	b.Engine = noc.EngineParallel
 	if a.CacheKey() != b.CacheKey() {
 		t.Fatal("StepParallel/Engine changed the scenario cache key")
 	}

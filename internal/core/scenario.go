@@ -84,12 +84,12 @@ type Scenario struct {
 	// Config is the node geometry (buffers, packet length, port rates).
 	Config noc.Config
 
-	// Engine selects the Step implementation: the default
-	// activity-driven engine or the reference sweep engine. The two are
-	// result-equivalent bit for bit (proven by the cross-engine golden
-	// tests), so Engine is excluded from the cache key and from the
-	// serialized scenario — it changes how fast a result is computed,
-	// never what it is.
+	// Engine selects how Network.Step runs the phase kernel: the
+	// default one-shard noc.EngineActive, or noc.EngineParallel (which
+	// StepParallel selects too). The two are result-equivalent bit for
+	// bit (proven by the golden tests), so Engine is excluded from the
+	// cache key and from the serialized scenario — it changes how fast a
+	// result is computed, never what it is.
 	Engine noc.Engine `json:"-"`
 
 	// NoPool disables the network's packet/flit freelist for this run.

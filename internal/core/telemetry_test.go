@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"gonoc/internal/noc"
 	"gonoc/internal/telemetry"
 )
 
@@ -120,7 +119,8 @@ func equalRows(a, b []uint64) bool {
 
 // gapCapturePath holds the every-cycle telemetry capture of the
 // gap-elision scenario: one sample per cycle, quiescent cycles
-// included, as the reference sweep engine recorded it.
+// included. It was recorded by the retired sweep engine, which ticked
+// every cycle.
 const gapCapturePath = "testdata/telemetry-gap-every-cycle.tsd"
 
 // gapScenario is a near-idle spidergon that leaves long quiescent gaps
@@ -135,15 +135,19 @@ func gapScenario() Scenario {
 
 // TestTelemetryGapElision pins the fast-forward contract against the
 // recorded every-cycle capture: the active engine elides quiescent
-// cycles from its capture (no samples), and on the cycles it did
-// sample its rows must equal the recorded rows exactly.
+// cycles from its capture (no samples); on the cycles it did sample its
+// rows must equal the recorded rows exactly, and every elided cycle's
+// recorded row must repeat the previous cycle's state — fast-forward
+// skips only cycles in which nothing changes.
 func TestTelemetryGapElision(t *testing.T) {
 	s := gapScenario()
+	rawA, stA, _ := captureRun(t, s, 64)
+	ca, err := telemetry.Decode(bytes.NewReader(rawA))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if *updateOracle {
-		ss := s
-		ss.Engine = noc.EngineSweep
-		raw, _, _ := captureRun(t, ss, 64)
-		if err := os.WriteFile(gapCapturePath, raw, 0o644); err != nil {
+		if err := os.WriteFile(gapCapturePath, fillGaps(t, ca, s.Measure+1), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,38 +159,64 @@ func TestTelemetryGapElision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawA, stA, _ := captureRun(t, s, 64)
 	if stA.Samples >= uint64(cs.Samples()) {
 		t.Fatalf("active engine elided nothing: %d samples vs the recorded %d", stA.Samples, cs.Samples())
 	}
 	if uint64(cs.Samples()) != s.Measure+1 {
 		t.Fatalf("recorded capture holds %d samples, want %d", cs.Samples(), s.Measure+1)
 	}
-	ca, err := telemetry.Decode(bytes.NewReader(rawA))
+	j := 0 // next active sample; its cycle column must rise strictly
+	for c := 0; c < cs.Samples(); c++ {
+		row := cs.Row(c)
+		if row[0] != uint64(c) {
+			t.Fatalf("recorded capture row %d holds cycle %d", c, row[0])
+		}
+		if j < ca.Samples() && ca.Cycle(j) == uint64(c) {
+			if !equalRows(ca.Row(j), row) {
+				t.Fatalf("cycle %d: active and recorded rows differ", c)
+			}
+			j++
+			continue
+		}
+		prev := make([]uint64, len(row)) // the all-zero state before cycle 0
+		if c > 0 {
+			prev = cs.Row(c - 1)
+		}
+		if !equalRows(row[1:], prev[1:]) {
+			t.Fatalf("cycle %d was elided but changed the recorded state", c)
+		}
+	}
+	if j != ca.Samples() {
+		t.Fatalf("active sample %d (cycle %d) is out of order or beyond the recorded capture", j, ca.Cycle(j))
+	}
+}
+
+// fillGaps re-encodes capture c as one sample per cycle for the given
+// number of cycles, repeating the last sampled state (all zeros before
+// the first sample) on every elided cycle.
+func fillGaps(t *testing.T, c *telemetry.Capture, cycles uint64) []byte {
+	t.Helper()
+	rec, err := telemetry.NewRecorder(c.Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The recorded capture samples cycle c at row index c; every active
-	// sample must match it. Gap cycles are absent from the active
-	// capture by construction (strictly increasing cycle column checked
-	// too).
-	prev := uint64(0)
-	for i := 0; i < ca.Samples(); i++ {
-		cyc := ca.Cycle(i)
-		if i > 0 && cyc <= prev {
-			t.Fatalf("active capture cycle column not strictly increasing at sample %d", i)
-		}
-		prev = cyc
-		if cyc >= uint64(cs.Samples()) {
-			t.Fatalf("active sample %d at cycle %d beyond the recorded capture", i, cyc)
-		}
-		if cs.Cycle(int(cyc)) != cyc {
-			t.Fatalf("recorded capture row %d holds cycle %d", cyc, cs.Cycle(int(cyc)))
-		}
-		if !equalRows(ca.Row(i), cs.Row(int(cyc))) {
-			t.Fatalf("cycle %d: active and recorded rows differ", cyc)
-		}
+	var buf bytes.Buffer
+	if err := rec.Start(&buf); err != nil {
+		t.Fatal(err)
 	}
+	row := make([]uint64, c.Spec().Series())
+	for cyc, j := uint64(0), 0; cyc < cycles; cyc++ {
+		if j < c.Samples() && c.Cycle(j) == cyc {
+			copy(row, c.Row(j))
+			j++
+		}
+		row[0] = cyc
+		rec.Append(row)
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestTelemetryResetMidCapture reruns a warmed workspace — Network.

@@ -50,17 +50,14 @@ func TestWorkspaceMatchesFreshRuns(t *testing.T) {
 	}
 }
 
-// Workspace reuse must also hold under the sweep engine, with pooling
-// off, and for Bernoulli arrivals — the non-default paths.
+// Workspace reuse must also hold with pooling off, for Bernoulli
+// arrivals and under virtual cut-through — the non-default paths.
 func TestWorkspaceMatchesFreshRunsVariants(t *testing.T) {
 	base := NewScenario(Ring, 12, UniformTraffic, 0.04)
 	base.Warmup, base.Measure = 150, 1200
 
-	variants := make([]Scenario, 0, 4)
+	variants := make([]Scenario, 0, 3)
 	s := base
-	s.Engine = noc.EngineSweep
-	variants = append(variants, s)
-	s = base
 	s.NoPool = true
 	variants = append(variants, s)
 	s = base
@@ -114,12 +111,12 @@ func TestWorkspaceReusesNetworkAcrossReplications(t *testing.T) {
 	}
 }
 
-// Fuzz-style reuse sequences: random walks over rate, seed, engine,
-// shard count and pooling — replayed on one workspace — must stay bit
-// for bit equal to fresh runs. The pooling flips are the packet
-// arena's hardest reuse transition (Reset must truncate the record
-// population when pooling is off and retain it when on), and the
-// engine/shard flips exercise worklist rebuilds over a recycled arena.
+// Fuzz-style reuse sequences: random walks over rate, seed, shard count
+// and pooling — replayed on one workspace — must stay bit for bit equal
+// to fresh runs. The pooling flips are the packet arena's hardest reuse
+// transition (Reset must truncate the record population when pooling is
+// off and retain it when on), and the shard flips exercise worklist
+// rebuilds over a recycled arena.
 func TestWorkspaceReuseRandomizedSequences(t *testing.T) {
 	master := sim.NewRNG(1234)
 	for trial := 0; trial < 4; trial++ {
@@ -130,10 +127,7 @@ func TestWorkspaceReuseRandomizedSequences(t *testing.T) {
 			s.Warmup, s.Measure = 100, uint64(400+rng.Intn(800))
 			s.Seed = rng.Uint64()
 			s.NoPool = rng.Bernoulli(0.4)
-			switch rng.Intn(4) {
-			case 0:
-				s.Engine = noc.EngineSweep
-			case 1:
+			if rng.Intn(4) == 1 {
 				s.StepParallel = 1 + rng.Intn(4)
 			}
 			got, err := ws.Run(s)

@@ -8,8 +8,7 @@ import (
 // This file is the activity-driven simulation core: the one phase
 // kernel behind Network.Step for both EngineActive and EngineParallel.
 // Instead of sweeping every router × port × VC in all four phases each
-// cycle (the reference engine in network.go, kept as EngineSweep for
-// cross-checking), each phase drains an incremental worklist at two
+// cycle, each phase drains an incremental worklist at two
 // granularities: bitmap active sets over nodes select which
 // routers/sources a phase visits at all, and per-router slot-occupancy
 // masks (router.inOcc/ejOcc/outOcc, one bit per strided port × VC slot,
@@ -19,16 +18,19 @@ import (
 // of a decomposition: the serial engine is the one-shard case, a single
 // shard covering every router with no workers, barriers, mailboxes or
 // credit waits; parallel.go adds the multi-shard machinery around the
-// same phase functions. Determinism is preserved by construction: sets
-// drain in ascending node order (the reference engine's iteration
-// order), ports in the reference rotated order with per-port mask
-// extraction, slots in the reference round-robin order, and the
-// per-cycle round-robin pointers, which the reference engine advances
-// unconditionally once per cycle, are derived from the cycle counter
-// instead of stored, so skipping an idle router (or fast-forwarding
-// whole idle cycles via SkipTo) cannot perturb arbitration. The
-// cross-engine golden tests assert bit-identical Results against
-// EngineSweep for every scenario class.
+// same phase functions.
+//
+// The arbitration order is the one frozen in the test oracles
+// (internal/core/testdata/kernel-oracle.json and the noc fingerprint
+// chains, recorded from the retired scan-everything engine): routers in
+// ascending node order, input ports in a rotation that advances by one
+// every cycle, each port's VCs from its own round-robin pointer, output
+// ports in ascending order, and ejection slots in a rotation over
+// (port, VC) that also advances by one every cycle. The kernel keeps
+// that order by construction: sets drain in ascending node order, ports
+// and slots rotate from pointers derived from the cycle counter rather
+// than stored per router, so skipping an idle router (or fast-forwarding
+// whole idle cycles via SkipTo) cannot perturb arbitration.
 
 // Engine selects the implementation behind Network.Step.
 type Engine int
@@ -38,10 +40,6 @@ const (
 	// phase kernel over the one-shard decomposition, visiting only
 	// routers with buffered flits and sources with pending packets.
 	EngineActive Engine = iota
-	// EngineSweep is the reference engine: every phase scans all
-	// routers. It is retained as the golden oracle for equivalence
-	// tests and as a debugging fallback.
-	EngineSweep
 	// EngineParallel is the domain-decomposed engine (parallel.go): the
 	// same phase kernel over contiguous router shards run by a worker
 	// group between deterministic barriers, producing results
@@ -54,8 +52,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineActive:
 		return "active"
-	case EngineSweep:
-		return "sweep"
 	case EngineParallel:
 		return "parallel"
 	default:
@@ -131,14 +127,12 @@ func (n *Network) worklistsOf(node int) *worklists {
 	return &d.shards[d.shardOf[node]].wl
 }
 
-// markSource enrolls src in the injection worklist that owns it (the
-// sweep engine ignores the sets, so the stray add is harmless and keeps
-// InjectPacket branch-free on the engine).
+// markSource enrolls src in the injection worklist that owns it.
 func (n *Network) markSource(src int) { n.worklistsOf(src).ni.add(src) }
 
 // --- worklist maintenance, called wherever the phase kernel moves a
-// flit, against the worklists that own the touched router (wl). The sweep engine bypasses these (it pops/pushes the
-// buffers directly); SetEngine rebuilds all masks and sets.
+// flit, against the worklists that own the touched router (wl);
+// SetEngine rebuilds all masks and sets from the buffers.
 
 // refreshInSets recomputes node's membership in the ejection and
 // switch worklists from its input-slot masks: the ejection stage wants
@@ -218,37 +212,18 @@ func (n *Network) outPop(wl *worklists, node int, r *router, op *outPort, vc int
 	return h
 }
 
-// stepShards advances one cycle under the running decomposition. The
-// one-shard decomposition (EngineActive, and EngineParallel at width 1)
-// runs the phase passes below back to back on the calling goroutine;
-// wider decompositions hand the same passes to the worker group
-// (stepWorkers, parallel.go). Either way a cycle is one ejection pass
-// whose tail completions are replayed after it, one switch+inject pass
-// whose collector events are deferred to the cycle end, and one link
-// pass; finishCycle replays the deferred events and closes the cycle.
-func (n *Network) stepShards() {
-	n.moved = false
-	if len(n.dec.shards) > 1 {
-		n.stepWorkers()
-		return
-	}
-	s := &n.dec.shards[0]
-	n.ejectShard(s)
-	n.replayEjections()
-	n.switchInjectShard(s)
-	n.linkShard(s, 0)
-	n.finishCycle()
-}
-
-// ejectShard mirrors the reference ejectPhase over one shard's routers
-// holding locally-destined input heads, touching only the slots whose
-// bit is set in ejOcc. rrEj is derived: the reference advances it by
-// one every cycle for every router, so during cycle c it equals c mod
-// slots. The rotation runs over logical slot indices (port × VCs + vc,
-// the reference modulus), stepped as a (port, vc) pair with wrap-around
-// instead of divided out; each maps to its strided mask bit for the
-// occupancy test. Every tail-ejection completion is deferred: the pops,
-// mask updates and per-packet receive accounting are shard-local (a
+// ejectShard consumes up to SinkRate flits per router from input-slot
+// heads destined to that router, over one shard's routers holding
+// locally-destined input heads and touching only the slots whose bit
+// is set in ejOcc. The paper's destination IP consumes flits in FIFO
+// order through a single ejection port — the bottleneck of the
+// hot-spot scenarios. Slots are tried round-robin from a start that
+// advances by one every cycle for every router, so during cycle c it is
+// c mod slots. The rotation runs over logical slot indices (port × VCs
+// + vc), stepped as a (port, vc) pair with wrap-around instead of
+// divided out; each maps to its strided mask bit for the occupancy
+// test. Every tail-ejection completion is deferred: the pops, mask
+// updates and per-packet receive accounting are shard-local (a
 // packet's flits all eject at its unique destination), while
 // statistics, the OnEject callback and the arena recycle run in
 // replayEjections.
@@ -265,7 +240,8 @@ func (n *Network) ejectShard(s *shard) {
 			return
 		}
 		slots := np * vcs
-		// Split rrEj = pi*vcs + vc by subtraction: pi < np is small.
+		// Split the start slot pi*vcs + vc by subtraction: pi < np is
+		// small.
 		pi, vc := 0, int(n.modTab[slots])
 		for vc >= vcs {
 			vc -= vcs
@@ -301,11 +277,11 @@ func (n *Network) ejectShard(s *shard) {
 
 // replayEjections applies the deferred ejection completions in shard
 // order — which, shards being contiguous and each buffer append-ordered
-// by the ascending-node walk, is exactly the reference engine's
-// ejection order. Statistics, the OnEject callback (whose reply
-// injections may lease from the arena and land in any shard's source
-// worklist) and the recycle therefore interleave precisely as in
-// EngineSweep. In the fused (callback-free) multi-shard cycle this runs
+// by the ascending-node walk, is exactly ascending node order at every
+// shard count. Statistics, the OnEject callback (whose reply injections
+// may lease from the arena and land in any shard's source worklist) and
+// the recycle therefore interleave identically however the routers are
+// sharded. In the fused (callback-free) multi-shard cycle this runs
 // at the cycle-end barrier: no lease, recycle or collector event can
 // occur between a tail ejection and the barrier, so deferring the
 // completions there is unobservable.
@@ -328,15 +304,18 @@ func (n *Network) replayEjections() {
 }
 
 // switchInjectShard runs the switch-traversal and injection phases over
-// one shard. The switch pass mirrors the reference switchPhase over
-// routers holding transit heads, visiting the ports in the reference
-// rotated order (rrIn derived like rrEj) and extracting each port's
-// transit occupancy (inOcc minus the locally destined heads, which wait
-// for the ejection stage) from the strided masks in one shift; ports
-// with no transit head are skipped. Fusing switch and injection into
-// one span is sound because both phases read and write only the state
-// of the visited router and its NI — the reference engine's global
-// phase boundary orders nothing that two different routers could
+// one shard. The switch pass moves flits from input slots to output
+// queues over the routers holding transit heads: head flits run the
+// routing function and must win the output queue (ownership + space);
+// body flits follow their packet's switching entry. It visits the
+// ports in a rotation whose start advances by one every cycle (cycle
+// mod ports, derived like the ejection start) and extracts each port's
+// transit occupancy (inOcc minus the locally destined heads, which
+// wait for the ejection stage) from the strided masks in one shift;
+// ports with no transit head are skipped. Fusing switch and injection
+// into one span is sound because both phases read and write only the
+// state of the visited router and its NI — a global boundary between
+// the two phases would order nothing that two different routers could
 // observe.
 func (n *Network) switchInjectShard(s *shard) {
 	vcs := n.alg.VCs()
@@ -344,9 +323,9 @@ func (n *Network) switchInjectShard(s *shard) {
 		r := n.routers[node]
 		s.visits++
 		np := len(r.in)
-		rrIn := int(n.modTab[np])
+		start := int(n.modTab[np])
 		for k := 0; k < np; k++ {
-			pi := rrIn + k
+			pi := start + k
 			if pi >= np {
 				pi -= np
 			}
@@ -363,8 +342,8 @@ func (n *Network) switchInjectShard(s *shard) {
 	n.injectShard(s)
 }
 
-// switchPort runs the reference per-port VC arbitration over the
-// occupied transit slots of one input port (occ holds the port's VC
+// switchPort runs the per-port VC arbitration over the occupied transit
+// slots of one input port (occ holds the port's VC
 // occupancy in its low bits): first movable flit in rrVC order wins
 // the port's crossbar input for this cycle. It maintains the masks and
 // the calling shard's worklists, and reports whether a flit moved.
@@ -415,9 +394,11 @@ func (n *Network) switchPort(wl *worklists, r *router, p *inPort, occ uint64, vc
 	return false
 }
 
-// injectShard mirrors the reference injectPhase over one shard's
-// sources with pending packets, retiring a source once its IP memory
-// and in-progress worm drain. The collector events (packet acceptances,
+// injectShard lets each of one shard's sources with pending packets
+// push up to InjectRate flits of its current packet into the local
+// router's output queues, opening the worm with a routing decision on
+// the head flit (a blocked ready flit is a source-blocked cycle), and
+// retires a source once its IP memory and in-progress worm drain. The collector events (packet acceptances,
 // source-blocked cycles) are deferred to finishCycle; everything else —
 // source queue, worm state, the output-queue pushes, the packet's
 // injection stamp (its source is unique to this shard) — is local to
@@ -482,12 +463,14 @@ func (n *Network) injectShard(s *shard) {
 	})
 }
 
-// linkShard mirrors the reference linkPhase over one shard's routers
-// holding output flits, visiting the output ports in the reference
-// ascending order and extracting each port's occupancy from the strided
-// mask; empty ports are skipped. op.rr is derived like the other
-// round-robin pointers. g is the worker group's pass generation (unused
-// by the one-shard decomposition, which has no cross-shard port).
+// linkShard forwards one flit per physical link from the head of an
+// output queue into the matching downstream per-VC input slot, over
+// one shard's routers holding output flits. It visits the output ports
+// in ascending order and extracts each port's occupancy from the
+// strided mask; empty ports are skipped. Every port's VC rotation
+// starts at cycle mod VCs, derived like the other round-robin
+// pointers. g is the worker group's pass generation (unused by the
+// one-shard decomposition, which has no cross-shard port).
 func (n *Network) linkShard(s *shard, g uint64) {
 	vcs := n.alg.VCs()
 	rrVC := int(n.modTab[vcs]) // every port has alg.VCs() queues
@@ -504,21 +487,23 @@ func (n *Network) linkShard(s *shard, g uint64) {
 	})
 }
 
-// linkPort runs the reference per-link VC arbitration over one output
-// port's occupied queues (occ holds the port's VC occupancy in its low
-// bits): the first departable head in rr order traverses the link. An
-// arrival into a router of the same shard is applied directly with an
-// exact occupancy check (all of this shard's pops already ran, and no
-// other shard pushes into this shard's input slots). Only a
-// multi-shard decomposition has ports whose destination lies outside
-// the running shard's range; their decision consults the cycle-start
-// credit counter (decomposition.credits): a positive count proves the
-// slot still has room at the serial decision point (its occupancy can
-// only have shrunk — the single producer is this port), so the flit
-// departs on the spot; a zero count means the owner's pops this cycle
-// decide, so the port waits for the downstream shard's popsDone mark
-// and re-reads exact occupancy — the identical check the serial link
-// sweep performs. Either way the cross-shard delivery itself travels
+// linkPort runs the per-link VC arbitration over one output port's
+// occupied queues (occ holds the port's VC occupancy in its low bits):
+// the first departable head in rotation order from rr traverses the
+// link, provided the downstream slot has room and the head did not
+// enter the queue this cycle. An arrival into a router of the same
+// shard is applied directly with an exact occupancy check (all of this
+// shard's pops already ran, and no other shard pushes into this
+// shard's input slots). Only a multi-shard decomposition has ports
+// whose destination lies outside the running shard's range; their
+// decision consults the cycle-start credit counter
+// (decomposition.credits): a positive count proves the slot still has
+// room at the serial decision point (its occupancy can only have
+// shrunk — the single producer is this port), so the flit departs on
+// the spot; a zero count means the owner's pops this cycle decide, so
+// the port waits for the downstream shard's popsDone mark and re-reads
+// exact occupancy — the identical check the one-shard link pass
+// performs. Either way the cross-shard delivery itself travels
 // through the pair mailbox (pushing into a foreign shard's bookkeeping
 // directly would race with its own pass) and is drained by the
 // receiving shard at the end of its pass. Both outcomes reproduce the
@@ -626,7 +611,6 @@ func (n *Network) SetEngine(e Engine) {
 		}
 		n.buildShards()
 		n.rebuildSets()
-	case EngineSweep:
 	default:
 		panic(fmt.Sprintf("noc: unknown engine %d", int(e)))
 	}
@@ -638,9 +622,8 @@ func (n *Network) Engine() Engine { return n.engine }
 
 // rebuildSets recomputes the slot masks from the ground truth in the
 // buffers, re-enrolls every node in the worklists of the running
-// decomposition's owning shard, and refreshes the boundary credits. The
-// sweep engine does not maintain the masks or sets, so every engine
-// entry and every change of decomposition starts here.
+// decomposition's owning shard, and refreshes the boundary credits.
+// Every engine entry and every change of decomposition starts here.
 func (n *Network) rebuildSets() {
 	for i := range n.dec.shards {
 		n.dec.shards[i].wl.clear()
@@ -702,9 +685,6 @@ func (n *Network) deriveMasks(r *router, in, ej, out slotMask) (hasEj, hasTransi
 // own bookkeeping. It participates in CheckConservation, so every
 // conservation-checked run also proves the worklist bookkeeping.
 func (n *Network) checkWorklistInvariants() error {
-	if n.engine == EngineSweep {
-		return nil
-	}
 	if err := n.checkShardInvariants(); err != nil {
 		return err
 	}
@@ -768,24 +748,7 @@ func (n *Network) SkipTo(cycle uint64) {
 	if !n.Quiescent() {
 		panic(fmt.Sprintf("noc: SkipTo(%d) on a non-quiescent network at cycle %d", cycle, n.cycle))
 	}
-	delta := cycle - n.cycle
-	n.skipped += delta
+	n.skipped += cycle - n.cycle
 	n.cycle = cycle
 	n.rebuildModTab()
-	if n.engine == EngineSweep {
-		// The sweep engine stores its round-robin pointers and advances
-		// them once per cycle even when idle; replay the skipped
-		// advances so the two engines stay interchangeable.
-		for _, r := range n.routers {
-			if np := len(r.in); np > 0 {
-				vcs := n.alg.VCs()
-				r.rrEj = (r.rrEj + int(delta%uint64(np*vcs))) % (np * vcs)
-				r.rrIn = (r.rrIn + int(delta%uint64(np))) % np
-			}
-			for _, op := range r.out {
-				nv := len(op.vcs)
-				op.rr = (op.rr + int(delta%uint64(nv))) % nv
-			}
-		}
-	}
 }

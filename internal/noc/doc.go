@@ -12,31 +12,31 @@
 // traversal, injection, link traversal). All arbitration is round-robin
 // and all iteration orders are fixed, so simulations are deterministic.
 //
-// The one-stage-per-cycle rule is enforced from router-local state, in
-// every engine. Within a cycle every output queue is pushed (switch,
-// injection) before it is popped (link), and every input slot is popped
-// (ejection, switch) before it is pushed (link, inbox drain), so the
-// head a later stage finds in a slot moved this cycle exactly when the
-// slot was empty at its first push of the cycle. Each router keeps one
+// The one-stage-per-cycle rule is enforced from router-local state.
+// Within a cycle every output queue is pushed (switch, injection)
+// before it is popped (link), and every input slot is popped (ejection,
+// switch) before it is pushed (link, inbox drain), so the head a later
+// stage finds in a slot moved this cycle exactly when the slot was
+// empty at its first push of the cycle. Each router keeps one
 // bit per slot in two freshness masks, set on such pushes and cleared
 // lazily by a per-router cycle stamp; no packet or flit carries any
 // timing state.
 //
 // # Engines
 //
-// Three interchangeable engines implement Step, two of them with one
-// code path. The activity-driven phase kernel (active.go) drains
-// per-phase worklists — bitmap active sets over routers and sources,
-// updated exactly where flits move — so a cycle costs time
+// One activity-driven phase kernel (active.go) implements Step. It
+// drains per-phase worklists — bitmap active sets over routers and
+// sources, updated exactly where flits move — so a cycle costs time
 // proportional to in-flight work rather than network size, and a fully
 // quiescent network can fast-forward across idle cycles via SkipTo.
-// The worklists belong to the shards of a decomposition. The default
-// engine, EngineActive, is the one-shard case: a single shard covering
-// every router, with no workers, barriers, mailboxes or credit waits.
-// Its cycle is an ejection pass whose tail completions are replayed
-// after it, a switch+inject pass whose collector events are deferred
-// to the cycle end, and a link pass. EngineParallel (parallel.go) runs
-// the same phase functions as ONE fused shard-local pass over several
+// The worklists belong to the shards of a decomposition, and two
+// engines select the decomposition. The default, EngineActive, is the
+// one-shard case: a single shard covering every router, with no
+// workers, barriers, mailboxes or credit waits. Its cycle is an
+// ejection pass whose tail completions are replayed after it, a
+// switch+inject pass whose collector events are deferred to the cycle
+// end, and a link pass. EngineParallel (parallel.go) runs the same
+// phase functions as ONE fused shard-local pass over several
 // contiguous router shards with a single sense-reversing barrier per
 // cycle (two only when an OnEject callback forces the ejection span to
 // split off). Cross-shard link decisions resolve inside the pass
@@ -48,10 +48,13 @@
 // of its own pass in canonical sender order, so cycle-boundary state is
 // bit-identical to the one-shard run and the barrier's serial section
 // only merges counters and refreshes credits — it never replays a link
-// decision or moves a flit. EngineSweep is the original scan-everything
-// reference, kept as separate code so it can serve as the oracle; the
-// cross-engine tests prove all three produce bit-identical results for
-// every scenario class.
+// decision or moves a flit.
+//
+// The reference the kernel is held to is data, not code: the results,
+// per-cycle state chains and every-cycle telemetry capture that the
+// retired scan-everything engine produced are committed under the
+// testdata directories of internal/core and internal/noc, and the
+// oracle tests require every shard count to reproduce them.
 //
 // # Arena and handle layout
 //
@@ -74,9 +77,8 @@
 //
 // Per-router slot-occupancy and freshness masks (mask.go) are
 // multi-word bitmaps with a power-of-two per-port stride, so any degree
-// × VC product is supported by every engine (the old single-word masks
-// forced large routers onto the sweep engine). The router structs and
-// masks of a network are each allocated as one contiguous block.
+// × VC product is supported. The router structs and masks of a network
+// are each allocated as one contiguous block.
 //
 // # Observer views
 //

@@ -10,21 +10,14 @@ import (
 	"gonoc/internal/topology"
 )
 
-// enginePair builds two identical networks, one per engine, over a
-// 16-node spidergon (or the given topology).
-func enginePair(t *testing.T, topo topology.Topology, alg routing.Algorithm, cfg Config) (active, sweep *Network) {
+// newNet builds a network over topo with a fresh collector.
+func newNet(t *testing.T, topo topology.Topology, alg routing.Algorithm, cfg Config) *Network {
 	t.Helper()
-	var err error
-	active, err = NewNetwork(topo, alg, cfg, stats.NewCollector(0))
+	n, err := NewNetwork(topo, alg, cfg, stats.NewCollector(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err = NewNetwork(topo, alg, cfg, stats.NewCollector(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep.SetEngine(EngineSweep)
-	return active, sweep
+	return n
 }
 
 // stateFingerprint summarises everything observable about a network at
@@ -54,10 +47,7 @@ func busyRouters(n *Network) int {
 // chain's checkpoints bound where.
 func TestEnginesAgreeCycleByCycle(t *testing.T) {
 	s := topology.MustSpidergon(16)
-	a, ref := enginePair(t, s, routing.NewSpidergonRouting(s), DefaultConfig())
-	if *updateOracle {
-		a = ref
-	}
+	a := newNet(t, s, routing.NewSpidergonRouting(s), DefaultConfig())
 	var chain fingerprintChain
 	rng := sim.NewRNG(7)
 	for cycle := 0; cycle < 4000; cycle++ {
@@ -123,10 +113,7 @@ func TestEnginesAgreeRandomized(t *testing.T) {
 			}
 		}
 		name := fmt.Sprintf("randomized/%d", trial)
-		a, ref := enginePair(t, topo, alg, cfg)
-		if *updateOracle {
-			a = ref
-		}
+		a := newNet(t, topo, alg, cfg)
 		var chain fingerprintChain
 		n := topo.Nodes()
 		rate := 0.05 + 0.4*rng.Float64()
@@ -156,9 +143,10 @@ func TestEnginesAgreeRandomized(t *testing.T) {
 // twin that stepped through it — round-robin pointers included (the
 // injections after the gap land differently if any pointer drifts).
 func TestSkipToMatchesIdleStepping(t *testing.T) {
-	for _, eng := range []Engine{EngineActive, EngineSweep, EngineParallel} {
+	for _, eng := range []Engine{EngineActive, EngineParallel} {
 		s := topology.MustSpidergon(16)
-		skip, step := enginePair(t, s, routing.NewSpidergonRouting(s), DefaultConfig())
+		skip := newNet(t, s, routing.NewSpidergonRouting(s), DefaultConfig())
+		step := newNet(t, s, routing.NewSpidergonRouting(s), DefaultConfig())
 		if eng == EngineParallel {
 			skip.SetShards(3)
 			step.SetShards(3)
@@ -247,7 +235,7 @@ func TestFreshOutputFlitWaitsOneCycle(t *testing.T) {
 			name   string
 			engine Engine
 			shards int
-		}{{"sweep", EngineSweep, 0}, {"active", EngineActive, 0}, {"parallel-2", EngineParallel, 2}} {
+		}{{"active", EngineActive, 0}, {"parallel-2", EngineParallel, 2}} {
 			t.Run(c.name+"/"+eng.name, func(t *testing.T) {
 				r := topology.MustRing(8)
 				cfg := DefaultConfig()

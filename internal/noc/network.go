@@ -48,7 +48,7 @@ type Network struct {
 	lastActivity uint64
 	moved        bool // any flit progress in the current cycle
 
-	// engine selects the Step implementation (see active.go and
+	// engine names the decomposition Step drives (see active.go and
 	// parallel.go). The per-slot occupancy masks live on each router;
 	// the phase worklists live on the shards of the running
 	// decomposition.
@@ -89,9 +89,9 @@ type Network struct {
 
 	// linkFlits counts flit traversals per channel ID.
 	linkFlits []uint64
-	// Telemetry probe counters, maintained by every engine exactly where
-	// flits move (so they cost one array increment, never an allocation):
-	// telOcc is the number of flits resident in each router's buffers,
+	// Telemetry probe counters, maintained by the phase kernel exactly
+	// where flits move (so they cost one array increment, never an
+	// allocation): telOcc is the number of flits resident in each router's buffers,
 	// telInj/telEj the cumulative flits injected by / ejected at each
 	// node. Under EngineParallel each element is written only by the
 	// shard owning its node (or in the serial sections), so the probes
@@ -360,248 +360,33 @@ func (n *Network) canDepart(q *outVC) bool {
 // ejection, switch traversal, source injection, link traversal — each
 // move a flit at most one stage, and each router's freshness masks
 // (router.freshIn/freshOut) keep a flit from advancing through two
-// stages in one cycle. The default engine runs the activity-driven
-// phase kernel (active.go) as one shard; the parallel engine runs the
-// same kernel over several shards with deterministic barriers
-// (parallel.go); the sweep engine below scans everything and serves as
-// the golden reference both are tested against.
+// stages in one cycle. Step runs the activity-driven phase kernel
+// (active.go) under the running decomposition. The one-shard
+// decomposition (EngineActive, and EngineParallel at width 1) runs the
+// phase passes back to back on the calling goroutine; wider
+// decompositions hand the same passes to the worker group (stepWorkers,
+// parallel.go). Either way a cycle is one ejection pass whose tail
+// completions are replayed after it, one switch+inject pass whose
+// collector events are deferred to the cycle end, and one link pass;
+// finishCycle replays the deferred events and closes the cycle.
 func (n *Network) Step() {
-	if n.engine == EngineSweep {
-		n.stepSweep()
+	n.moved = false
+	if len(n.dec.shards) > 1 {
+		n.stepWorkers()
 		return
 	}
-	n.stepShards()
-}
-
-// stepSweep is the reference per-cycle sweep over all routers.
-func (n *Network) stepSweep() {
-	n.moved = false
-	n.ejectPhase()
-	n.switchPhase()
-	n.injectPhase()
-	n.linkPhase()
-	if n.moved {
-		n.lastActivity = n.cycle
-	}
-	n.cycle++
+	s := &n.dec.shards[0]
+	n.ejectShard(s)
+	n.replayEjections()
+	n.switchInjectShard(s)
+	n.linkShard(s, 0)
+	n.finishCycle()
 }
 
 // StepN advances the network k cycles.
 func (n *Network) StepN(k int) {
 	for i := 0; i < k; i++ {
 		n.Step()
-	}
-}
-
-// ejectPhase consumes up to SinkRate flits per node from input-slot
-// heads destined to that node, round-robin across (input port, VC)
-// slots. The paper's destination IP consumes flits in FIFO order
-// through a single ejection port — the bottleneck of the hot-spot
-// scenarios.
-func (n *Network) ejectPhase() {
-	vcs := n.alg.VCs()
-	a := &n.arena
-	tail := a.pktLen - 1
-	for _, r := range n.routers {
-		n.visits++
-		budget := n.cfg.SinkRate
-		np := len(r.in)
-		if np == 0 {
-			continue
-		}
-		slots := np * vcs
-		for k := 0; k < slots && budget > 0; k++ {
-			s := (r.rrEj + k) % slots
-			p := r.in[s/vcs]
-			vc := s % vcs
-			for budget > 0 && !p.empty(vc) && a.dst[p.head(vc).pkt()] == int32(r.node) {
-				h := p.pop(vc)
-				pi := h.pkt()
-				n.telOcc[r.node]--
-				n.telEj[r.node]++
-				budget--
-				n.moved = true
-				a.recv[pi]++
-				if h.seq() == tail {
-					n.ejected++
-					n.col.PacketEjected(n.cycle, a.created[pi], a.injected[pi], a.pktLen, int(a.hops[pi]))
-					if n.onEject != nil {
-						n.materializePacket(&n.ejView, pi)
-						n.onEject(&n.ejView)
-					}
-					n.recyclePacket(pi)
-				}
-			}
-		}
-		r.rrEj = (r.rrEj + 1) % slots
-	}
-}
-
-// switchPhase moves flits from input slots to output queues. Head
-// flits run the routing function and must win the output queue
-// (ownership + space); body flits follow their packet's switching
-// entry. One flit per input port per cycle (the crossbar input port is
-// shared by the port's VC slots, arbitrated round-robin).
-func (n *Network) switchPhase() {
-	vcs := n.alg.VCs()
-	a := &n.arena
-	for _, r := range n.routers {
-		n.visits++
-		np := len(r.in)
-		for k := 0; k < np; k++ {
-			p := r.in[(r.rrIn+k)%np]
-			for j := 0; j < vcs; j++ {
-				inVC := (p.rrVC + j) % vcs
-				if p.empty(inVC) {
-					continue
-				}
-				if r.fresh(r.freshIn, p.slotBase+inVC, n.cycle) {
-					continue // already advanced this cycle
-				}
-				h := p.head(inVC)
-				pi := h.pkt()
-				if a.dst[pi] == int32(r.node) {
-					continue // waits for the ejection phase
-				}
-				entry := &p.route[inVC]
-				if h.seq() == 0 {
-					// Heads route afresh on every attempt (adaptive
-					// algorithms re-evaluate congestion) and commit
-					// switching state only when the output queue is won.
-					d := n.route(r, pi, inVC)
-					op := r.outPortByDir(d.Dir)
-					if op == nil {
-						panic(fmt.Sprintf("noc: %s chose missing direction %v at node %d for %s",
-							n.alg.Name(), d.Dir, r.node, n.pktString(pi)))
-					}
-					ovc := &op.vcs[d.VC]
-					if !n.canAdmit(ovc) {
-						continue // allocation denied; retry next cycle
-					}
-					ovc.owner = pi
-					*entry = routeEntry{port: op, vc: d.VC}
-				} else if entry.port == nil {
-					panic(fmt.Sprintf("noc: body flit %s at node %d without switching state", n.flitString(h), r.node))
-				}
-				ovc := &entry.port.vcs[entry.vc]
-				if ovc.owner != pi || ovc.full() {
-					continue // space denied; retry next cycle
-				}
-				p.pop(inVC)
-				h = h.withVC(entry.vc)
-				r.pushOut(entry.port, entry.vc, h, n.cycle)
-				n.moved = true
-				if h.seq() == a.pktLen-1 {
-					ovc.owner = -1
-					entry.port = nil
-				}
-				p.rrVC = (inVC + 1) % vcs
-				break // one flit per input port per cycle
-			}
-		}
-		r.rrIn = (r.rrIn + 1) % np
-	}
-}
-
-// injectPhase lets each NI push up to InjectRate flits of its current
-// packet into the local router's output queues, opening the worm with a
-// routing decision on the head flit. A blocked ready flit is recorded
-// as a source-blocked cycle.
-func (n *Network) injectPhase() {
-	a := &n.arena
-	for node, q := range n.nis {
-		r := n.routers[node]
-		n.visits++
-		budget := n.cfg.InjectRate
-		for budget > 0 {
-			if q.sending < 0 {
-				if q.queue.len() == 0 {
-					break
-				}
-				q.sending = q.queue.pop()
-				q.nextSeq = 0
-				q.route = routeEntry{}
-			}
-			pi := q.sending
-			if q.nextSeq == 0 && q.route.port == nil {
-				d := n.route(r, pi, 0)
-				op := r.outPortByDir(d.Dir)
-				if op == nil {
-					panic(fmt.Sprintf("noc: %s chose missing direction %v at source %d for %s",
-						n.alg.Name(), d.Dir, node, n.pktString(pi)))
-				}
-				ovc := &op.vcs[d.VC]
-				if n.canAdmit(ovc) {
-					ovc.owner = pi
-					q.route = routeEntry{port: op, vc: d.VC}
-				} else {
-					n.col.SourceBlocked(n.cycle)
-					break
-				}
-			}
-			ovc := &q.route.port.vcs[q.route.vc]
-			if ovc.full() {
-				n.col.SourceBlocked(n.cycle)
-				break
-			}
-			h := mkFlit(pi, q.nextSeq, q.route.vc)
-			r.pushOut(q.route.port, q.route.vc, h, n.cycle)
-			n.telOcc[node]++
-			n.telInj[node]++
-			n.moved = true
-			q.nextSeq++
-			budget--
-			if h.seq() == 0 {
-				a.injected[pi] = n.cycle
-				n.injected++
-				n.col.PacketInjected(n.cycle, a.pktLen)
-			}
-			if h.seq() == a.pktLen-1 {
-				ovc.owner = -1
-				q.sending = -1
-				q.route = routeEntry{}
-			}
-		}
-	}
-}
-
-// linkPhase forwards one flit per physical link from the head of an
-// output queue (round-robin across that port's VCs) into the matching
-// downstream per-VC input slot, provided the slot has room and the flit
-// has not already advanced this cycle.
-func (n *Network) linkPhase() {
-	a := &n.arena
-	for _, r := range n.routers {
-		n.visits++
-		for _, op := range r.out {
-			nv := len(op.vcs)
-			sent := false
-			for k := 0; k < nv && !sent; k++ {
-				vi := (op.rr + k) % nv
-				v := &op.vcs[vi]
-				if v.empty() || r.fresh(r.freshOut, op.slotBase+vi, n.cycle) {
-					continue
-				}
-				if !n.canDepart(v) {
-					continue
-				}
-				ip := op.peer
-				if ip.full(vi) {
-					continue
-				}
-				h := v.pop()
-				n.telOcc[r.node]--
-				if h.seq() == 0 {
-					a.hops[h.pkt()]++
-				}
-				n.linkFlits[op.ch.ID]++
-				op.peerRouter.pushIn(ip, vi, h, n.cycle)
-				n.telOcc[op.ch.Dst]++
-				n.moved = true
-				sent = true
-			}
-			op.rr = (op.rr + 1) % nv
-		}
 	}
 }
 
@@ -649,18 +434,17 @@ func (n *Network) IdleCycles() uint64 {
 
 // CheckConservation verifies no flit was lost or duplicated: every
 // created packet is queued, in flight, or fully ejected, and in-flight
-// flit counts match packet bookkeeping. Under the phase kernel it
-// additionally proves the worklist bookkeeping: every buffered flit and
-// pending packet is reachable from its phase's active set (a flit off
-// its worklist would be stranded forever). The arena invariants are
-// proven alongside: every buffered handle is valid (packet index in
-// range, seq within the packet, VC within the algorithm's range), no
-// live handle references a free record, and — with pooling enabled —
-// the free stack holds distinct free-marked records that tile the arena
-// exactly with the live population (arena == free + created − ejected);
-// without pooling the arena must have grown monotonically (one record
-// per created packet, empty free stack). It returns nil when
-// consistent.
+// flit counts match packet bookkeeping. It additionally proves the
+// worklist bookkeeping: every buffered flit and pending packet is
+// reachable from its phase's active set (a flit off its worklist would
+// be stranded forever). The arena invariants are proven alongside:
+// every buffered handle is valid (packet index in range, seq within
+// the packet, VC within the algorithm's range), no live handle
+// references a free record, and — with pooling enabled — the free
+// stack holds distinct free-marked records that tile the arena exactly
+// with the live population (arena == free + created − ejected); without
+// pooling the arena must have grown monotonically (one record per
+// created packet, empty free stack). It returns nil when consistent.
 func (n *Network) CheckConservation() error {
 	// Structural handle validity comes first: every later check (the
 	// worklist invariant rebuild in particular) dereferences arena
@@ -726,8 +510,8 @@ func (n *Network) CheckConservation() error {
 			}
 		}
 		// The telemetry occupancy probe is maintained incrementally by
-		// every engine; prove it against the buffer ground truth so a
-		// missed increment cannot silently skew captures.
+		// the phase kernel; prove it against the buffer ground truth so
+		// a missed increment cannot silently skew captures.
 		if got, want := n.telOcc[r.node], int32(r.bufferedFlits()); got != want {
 			return fmt.Errorf("noc: node %d telemetry occupancy %d disagrees with buffered flits %d", r.node, got, want)
 		}
@@ -885,9 +669,7 @@ func (n *Network) Reset() {
 				v.q.reset()
 				v.owner = -1
 			}
-			op.rr = 0
 		}
-		r.rrIn, r.rrEj = 0, 0
 		r.inOcc.zero()
 		r.ejOcc.zero()
 		r.outOcc.zero()

@@ -81,7 +81,7 @@ func (n *Network) Utilization() UtilizationSummary {
 }
 
 // PerfStats is the engine's deterministic work accounting: how many
-// worklist (or sweep) visits the phase loops performed and how many
+// worklist visits the phase loops performed and how many
 // idle cycles were fast-forwarded. Both counters are pure functions of
 // the scenario — independent of wall clock, host, and parallelism — so
 // the perf-regression gate (make bench-check) can compare them against
@@ -89,9 +89,8 @@ func (n *Network) Utilization() UtilizationSummary {
 type PerfStats struct {
 	// Engine names the Step implementation that produced the counters.
 	Engine string
-	// RouterVisits counts per-phase router/source visits: the sweep
-	// engine pays 4×N every cycle, the active engine only for nodes
-	// holding work.
+	// RouterVisits counts per-phase router/source worklist visits: a
+	// phase visits only the nodes holding work for it, never all N.
 	RouterVisits uint64
 	// SkippedCycles counts cycles advanced by SkipTo instead of Step.
 	SkippedCycles uint64
@@ -102,7 +101,7 @@ type PerfStats struct {
 	// Barriers counts worker-group barriers crossed by the parallel
 	// engine: one per multi-shard cycle in the fused single-barrier
 	// shape, two when an OnEject callback forces the ejection split,
-	// zero for the serial engines and the single-shard decomposition.
+	// zero for the one-shard decomposition.
 	// Deterministic, so the perf gate pins the synchronization budget.
 	Barriers uint64
 	// SpeculativeDeliveries counts cross-shard flits delivered on an
@@ -132,19 +131,11 @@ func (n *Network) Perf() PerfStats {
 }
 
 // ActiveNodes reports how many routers currently hold buffered flits
-// (input or output side) — the instantaneous worklist load the active
-// engine's cycle cost is proportional to. The sweep engine does not
-// maintain the occupancy masks, so it falls back to walking the
-// buffers.
+// (input or output side) — the instantaneous worklist load a cycle's
+// cost is proportional to — read from the occupancy masks.
 func (n *Network) ActiveNodes() int {
 	c := 0
 	for _, r := range n.routers {
-		if n.engine == EngineSweep {
-			if r.bufferedFlits() > 0 {
-				c++
-			}
-			continue
-		}
 		if r.inOcc.any() || r.outOcc.any() {
 			c++
 		}
@@ -159,7 +150,7 @@ func (n *Network) ActiveNodes() int {
 // channel ID. The slices alias live network state — read them only
 // between Step calls (e.g. from a ticker phase) and never mutate or
 // retain them across a Reset. All four are maintained incrementally by
-// every engine, so reading them costs nothing beyond the loads.
+// the phase kernel, so reading them costs nothing beyond the loads.
 type TelemetryView struct {
 	Occ  []int32
 	Inj  []uint64

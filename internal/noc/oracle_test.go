@@ -16,7 +16,8 @@ import (
 // each test run to a hash chain over its stateFingerprint after every
 // cycle (checkpointed every chainEvery cycles) and to its final
 // fingerprint after draining. The values were recorded from the
-// reference sweep engine; every engine must keep reproducing them.
+// retired scan-everything sweep engine and are reproduced by the phase
+// kernel at every shard count.
 //
 // Re-record only for an intended result change, and log it in
 // CHANGES.md:

@@ -17,7 +17,7 @@ import (
 // switch traversal + injection, link traversal — as ONE fused
 // shard-local pass per worker, meeting a single barrier per cycle,
 // while producing results bit-identical to the one-shard run of
-// EngineActive (and hence EngineSweep) at every shard count.
+// EngineActive at every shard count.
 //
 // The fusion rests on the conservative-PDES lookahead of the model: a
 // cross-shard effect (a link traversal into another shard's input
@@ -45,7 +45,7 @@ import (
 //     the downstream shard publishes that all its pops of the pass are
 //     done (popsDone, stored between its switch+inject and link
 //     phases) and then re-reads exact occupancy, which is precisely
-//     the check the serial link sweep performs. Both outcomes
+//     the check the one-shard link pass performs. Both outcomes
 //     reproduce the serial decision bit-exactly, and neither involves
 //     the serial section. The two outcomes are counted by the
 //     SpeculativeDeliveries and CreditDefers perf counters.
@@ -62,16 +62,16 @@ import (
 //     a barrier. The serial section never touches mailboxes.
 //   - Ejection completions: statistics and the arena recycle are
 //     deferred per shard and replayed in canonical order at the barrier
-//     (the one-shard run defers them the same way, see stepShards).
+//     (the one-shard run defers them the same way, see Network.Step).
 //     Without an OnEject callback this is unobservable mid-cycle (no
 //     lease or collector event happens between the ejection and the
 //     barrier), so the fused single-barrier cycle applies. WITH a
-//     callback, replies must inject the same cycle (serial engines run
-//     OnEject before the injection phase), so the engine falls back to
-//     a two-barrier cycle: an ejection span, a barrier replaying the
-//     completions (stats → OnEject → recycle), then a fused
-//     switch+inject+link span and the cycle-end barrier. The barriers
-//     perf counter records which shape ran.
+//     callback, replies must inject the same cycle (the one-shard run
+//     calls OnEject before the injection phase), so the engine falls
+//     back to a two-barrier cycle: an ejection span, a barrier
+//     replaying the completions (stats → OnEject → recycle), then a
+//     fused switch+inject+link span and the cycle-end barrier. The
+//     barriers perf counter records which shape ran.
 //
 // The cycle-end serial section is thereby reduced to the ejection
 // completions, the deferred injection statistics, the scratch-counter
@@ -84,7 +84,7 @@ import (
 // ascending node order with cycle-derived round-robin pointers, and
 // every deferred buffer is appended in ascending node order and
 // replayed (or drained) in ascending shard order — exactly the serial
-// engines' iteration order. The credit decision is a pure function of
+// engine's iteration order. The credit decision is a pure function of
 // simulation state (never of timing): whether a port holds a credit
 // depends only on the previous barrier's buffer occupancy, and the
 // zero-credit wait always resolves to the same exact occupancy read,

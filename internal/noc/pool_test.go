@@ -177,34 +177,30 @@ func TestSetPoolingMidRunPanics(t *testing.T) {
 }
 
 // Pool on and pool off must be indistinguishable cycle for cycle: same
-// injections, same fingerprints throughout, under both engines.
+// injections, same fingerprints throughout.
 func TestPoolOnOffBitIdentical(t *testing.T) {
-	for _, eng := range []Engine{EngineActive, EngineSweep} {
-		pooled := poolNet(t, true)
-		bare := poolNet(t, false)
-		pooled.SetEngine(eng)
-		bare.SetEngine(eng)
-		rng := sim.NewRNG(21)
-		for c := 0; c < 3000; c++ {
-			if rng.Bernoulli(0.35) {
-				src, dst := rng.Intn(16), rng.Intn(16)
-				if src != dst {
-					_ = pooled.Inject(src, dst)
-					_ = bare.Inject(src, dst)
-				}
-			}
-			pooled.Step()
-			bare.Step()
-			if fp, fb := stateFingerprint(pooled), stateFingerprint(bare); fp != fb {
-				t.Fatalf("%v: pooling diverged at cycle %d:\npooled: %s\nbare:   %s", eng, c, fp, fb)
+	pooled := poolNet(t, true)
+	bare := poolNet(t, false)
+	rng := sim.NewRNG(21)
+	for c := 0; c < 3000; c++ {
+		if rng.Bernoulli(0.35) {
+			src, dst := rng.Intn(16), rng.Intn(16)
+			if src != dst {
+				_ = pooled.Inject(src, dst)
+				_ = bare.Inject(src, dst)
 			}
 		}
-		if err := pooled.CheckConservation(); err != nil {
-			t.Fatal(err)
+		pooled.Step()
+		bare.Step()
+		if fp, fb := stateFingerprint(pooled), stateFingerprint(bare); fp != fb {
+			t.Fatalf("pooling diverged at cycle %d:\npooled: %s\nbare:   %s", c, fp, fb)
 		}
-		if err := bare.CheckConservation(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := pooled.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bare.CheckConservation(); err != nil {
+		t.Fatal(err)
 	}
 }
 

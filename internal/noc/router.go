@@ -115,17 +115,17 @@ func (v *outVC) head() flitH    { return v.q.head() }
 func (v *outVC) pop() flitH     { return v.q.pop() }
 func (v *outVC) flits() []flitH { return v.q.live() }
 
-// outPort is one physical output channel with its VC queues and the
-// round-robin pointer arbitrating them onto the link.
+// outPort is one physical output channel with its VC queues. The
+// round-robin pointer arbitrating them onto the link is derived from
+// the cycle counter (linkShard), not stored.
 type outPort struct {
 	ch       topology.Channel
 	vcs      []outVC
-	rr       int // next VC to consider for link traversal
 	slotBase int // bit index of vcs[0] in the router's strided slot masks
 
 	// peer and peerRouter cache the downstream input port and router of
-	// the channel (resolved once by NewNetwork), sparing the active
-	// engine a per-traversal lookup.
+	// the channel (resolved once by NewNetwork), sparing the link pass
+	// a per-traversal lookup.
 	peer       *inPort
 	peerRouter *router
 }
@@ -170,27 +170,27 @@ func (p *inPort) buffered() int {
 	return n
 }
 
-// router is the switching element of one node.
+// router is the switching element of one node. The round-robin starts
+// of switch allocation and ejection are derived from the cycle counter
+// (switchInjectShard, ejectShard), not stored.
 type router struct {
 	node int
 	in   []*inPort  // indexed like topology.In(node)
 	out  []*outPort // indexed like topology.Out(node)
-	rrIn int        // round-robin start for switch allocation
-	rrEj int        // round-robin start for the ejection port
 
-	// Slot-occupancy masks for the activity-driven engine, one bit per
-	// strided (port, VC) slot (see slotMask for the layout). inOcc
-	// marks non-empty input slots; ejOcc the subset whose head flit is
+	// Slot-occupancy masks of the phase kernel, one bit per strided
+	// (port, VC) slot (see slotMask for the layout). inOcc marks
+	// non-empty input slots; ejOcc the subset whose head flit is
 	// destined to this node (so the switch stage skips them and the
 	// ejection stage finds them without scanning); outOcc marks
-	// non-empty output queues. The sweep engine ignores them; SetEngine
-	// rebuilds them from the buffers.
+	// non-empty output queues. SetEngine rebuilds them from the
+	// buffers.
 	inOcc  slotMask
 	ejOcc  slotMask
 	outOcc slotMask
 
 	// freshIn and freshOut enforce the one-stage-per-cycle rule from
-	// router-local state, in every engine: a bit is set when a flit is
+	// router-local state: a bit is set when a flit is
 	// pushed into the empty slot (input slot or output queue) during
 	// cycle freshAt, so the slot's head moved this cycle and may not
 	// advance again before the next. The rule needs no per-flit state

@@ -29,9 +29,9 @@ func netSummary(net *noc.Network) string {
 
 // The unbatched streams are frozen as data:
 // testdata/unbatched-streams.json maps each workload below to the
-// summary the one-event-per-arrival reference emission produced. Every
-// batched run must reproduce it. Re-record only for an intended change
-// of the packet streams, and log it in CHANGES.md:
+// summary the retired one-event-per-arrival reference emission
+// produced. Every batched run must reproduce it. Re-record only for an
+// intended change of the packet streams, and log it in CHANGES.md:
 //
 //	go test ./internal/traffic -run Batch -update-oracle
 var updateOracle = flag.Bool("update-oracle", false, "re-record testdata/unbatched-streams.json")
@@ -85,7 +85,7 @@ func recordedStream(t *testing.T, name string) string {
 
 // driveGenerator runs one Poisson generator to the horizon and returns
 // the offered-packet count and the network summary.
-func driveGenerator(t *testing.T, nodes int, rate float64, seed uint64, batch bool) string {
+func driveGenerator(t *testing.T, nodes int, rate float64, seed uint64) string {
 	t.Helper()
 	net := buildNet(t, nodes)
 	k := sim.NewKernel()
@@ -93,7 +93,6 @@ func driveGenerator(t *testing.T, nodes int, rate float64, seed uint64, batch bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetBatching(batch)
 	g.Start()
 	tick := sim.NewTicker(k, 1)
 	tick.OnTick(func(uint64) { net.Step() })
@@ -123,10 +122,11 @@ func TestGeneratorBatchedMatchesUnbatched(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			name := "generator/" + tc.name
+			got := driveGenerator(t, 16, tc.rate, tc.seed)
 			if *updateOracle {
-				recordStream(t, name, driveGenerator(t, 16, tc.rate, tc.seed, false))
+				recordStream(t, name, got)
 			}
-			if got, want := driveGenerator(t, 16, tc.rate, tc.seed, true), recordedStream(t, name); got != want {
+			if want := recordedStream(t, name); got != want {
 				t.Fatalf("packet streams diverged:\nbatched:   %s\nunbatched: %s", got, want)
 			}
 		})
@@ -135,30 +135,26 @@ func TestGeneratorBatchedMatchesUnbatched(t *testing.T) {
 
 // Past saturation batching must actually collapse events: the kernel
 // should process far fewer events than the recorded unbatched run,
-// which took one event per arrival plus one per tick.
+// which took one event per arrival plus one per tick (65604 = 63603
+// arrivals + 2001 ticks), the count a re-record writes.
 func TestGeneratorBatchingCollapsesEvents(t *testing.T) {
-	run := func(batch bool) string {
-		net := buildNet(t, 16)
-		k := sim.NewKernel()
-		g, err := NewGenerator(k, net, Uniform{N: 16}, Poisson, 2.0, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.SetBatching(batch)
-		g.Start()
-		tick := sim.NewTicker(k, 1)
-		tick.OnTick(func(uint64) { net.Step() })
-		tick.Start()
-		k.RunUntil(2000)
-		return fmt.Sprintf("events=%d offered=%d", k.Processed(), g.OfferedPackets())
-	}
-	if *updateOracle {
-		recordStream(t, "collapse", run(false))
-	}
-	var evB, offB, evP, offP uint64
-	if _, err := fmt.Sscanf(run(true), "events=%d offered=%d", &evB, &offB); err != nil {
+	const ticks = 2001 // the ticker fires at cycles 0..2000
+	net := buildNet(t, 16)
+	k := sim.NewKernel()
+	g, err := NewGenerator(k, net, Uniform{N: 16}, Poisson, 2.0, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
+	g.Start()
+	tick := sim.NewTicker(k, 1)
+	tick.OnTick(func(uint64) { net.Step() })
+	tick.Start()
+	k.RunUntil(2000)
+	evB, offB := k.Processed(), g.OfferedPackets()
+	if *updateOracle {
+		recordStream(t, "collapse", fmt.Sprintf("events=%d offered=%d", offB+ticks, offB))
+	}
+	var evP, offP uint64
 	if _, err := fmt.Sscanf(recordedStream(t, "collapse"), "events=%d offered=%d", &evP, &offP); err != nil {
 		t.Fatal(err)
 	}
@@ -211,14 +207,13 @@ func TestGeneratorMatchesRecordedOfferCount(t *testing.T) {
 // emission must reproduce the recorded unbatched streams, at a bursty
 // peak rate high enough that batching engages within bursts.
 func TestAppGeneratorsBatchedMatchUnbatched(t *testing.T) {
-	runOnOff := func(batch bool) string {
+	runOnOff := func() string {
 		net := buildNet(t, 16)
 		k := sim.NewKernel()
 		g, err := NewOnOffGenerator(k, net, Uniform{N: 16}, OnOff{PeakRate: 2.5, OnMean: 40, OffMean: 120}, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.SetBatching(batch)
 		g.Start()
 		tick := sim.NewTicker(k, 1)
 		tick.OnTick(func(uint64) { net.Step() })
@@ -226,21 +221,21 @@ func TestAppGeneratorsBatchedMatchUnbatched(t *testing.T) {
 		k.RunUntil(5000)
 		return fmt.Sprintf("off=%d %s", g.OfferedPackets(), netSummary(net))
 	}
+	got := runOnOff()
 	if *updateOracle {
-		recordStream(t, "on-off", runOnOff(false))
+		recordStream(t, "on-off", got)
 	}
-	if got, want := runOnOff(true), recordedStream(t, "on-off"); got != want {
+	if want := recordedStream(t, "on-off"); got != want {
 		t.Fatalf("on/off streams diverged:\nbatched:   %s\nunbatched: %s", got, want)
 	}
 
-	runRR := func(batch bool) string {
+	runRR := func() string {
 		net := buildNet(t, 16)
 		k := sim.NewKernel()
 		rr, err := NewRequestReply(k, net, []int{0, 1, 2, 3}, []int{8, 9}, 1.2, 17)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr.SetBatching(batch)
 		rr.Start()
 		tick := sim.NewTicker(k, 1)
 		tick.OnTick(func(uint64) { net.Step() })
@@ -249,10 +244,11 @@ func TestAppGeneratorsBatchedMatchUnbatched(t *testing.T) {
 		return fmt.Sprintf("req=%d rep=%d done=%d rt=%v %s",
 			rr.Requests(), rr.Replies(), rr.CompletedTransactions(), rr.RoundTrip().Mean(), netSummary(net))
 	}
+	got = runRR()
 	if *updateOracle {
-		recordStream(t, "request-reply", runRR(false))
+		recordStream(t, "request-reply", got)
 	}
-	if got, want := runRR(true), recordedStream(t, "request-reply"); got != want {
+	if want := recordedStream(t, "request-reply"); got != want {
 		t.Fatalf("request-reply streams diverged:\nbatched:   %s\nunbatched: %s", got, want)
 	}
 }
