@@ -69,6 +69,65 @@ func TestScenarioValidateRejectsNonFiniteAndOverflow(t *testing.T) {
 	}
 }
 
+// Oversized geometries must be rejected with an error before anything
+// is allocated for them, never die of an out-of-memory or makeslice
+// panic; the largest supported sizes must still be accepted.
+func TestScenarioValidateBoundsGeometry(t *testing.T) {
+	cases := []struct {
+		name    string
+		s       Scenario
+		wantErr string // "" means accepted
+	}{
+		{"mesh-max-nodes", NewScenario(Mesh, MaxNodes, UniformTraffic, 0.01), ""},
+		{"mesh-past-max", NewScenario(Mesh, MaxNodes+1, UniformTraffic, 0.01), "exceeds the limit"},
+		{"mesh-4e9-nodes", NewScenario(Mesh, 4000000000, UniformTraffic, 0.01), "exceeds the limit"},
+		{"ring-1e15-nodes", NewScenario(Ring, 1e15, UniformTraffic, 0.01), "exceeds the limit"},
+		{"dims-wrap-to-nodes", func() Scenario {
+			s := NewScenario(Mesh, 4, UniformTraffic, 0.01)
+			s.Cols, s.Rows = 1<<62+1, 4 // product wraps to 4
+			return s
+		}(), "exceeds the limit"},
+		{"transpose-dims", func() Scenario {
+			s := NewScenario(Ring, 16, PermutationTraffic, 0.01)
+			s.Permutation, s.Cols, s.Rows = "transpose", 65536, 65536
+			return s
+		}(), "exceeds the limit"},
+		{"table-routing-too-large", func() Scenario {
+			s := NewScenario(Mesh, 4096, UniformTraffic, 0.01)
+			s.Routing = "table"
+			return s
+		}(), "table routing over 4096 nodes"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.s.Validate()
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Fatalf("got error %v, want one containing %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
+// A buffer depth whose slot block would not fit the limit fails the
+// run with an error naming the field, instead of allocating terabytes.
+func TestRunRejectsOversizedBuffers(t *testing.T) {
+	for _, field := range []string{"OutBufCap", "InBufCap"} {
+		s := NewScenario(Ring, 8, UniformTraffic, 0.01)
+		s.Warmup, s.Measure = 0, 10
+		if field == "OutBufCap" {
+			s.Config.OutBufCap = 4000000000
+		} else {
+			s.Config.InBufCap = 4000000000
+		}
+		if _, err := Run(s); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s 4e9: got error %v, want one naming %s", field, err, field)
+		}
+	}
+}
+
 func TestScenarioBuildKinds(t *testing.T) {
 	for _, kind := range []TopologyKind{Ring, Spidergon, Mesh, IrregularMesh, FactorMesh} {
 		s := NewScenario(kind, 12, UniformTraffic, 0.01)

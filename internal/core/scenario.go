@@ -275,10 +275,23 @@ func (s Scenario) Pattern() (traffic.Pattern, error) {
 	}
 }
 
+// MaxNodes bounds Scenario.Nodes and a pinned Cols × Rows. Validate
+// builds the topology, so a node count read from a scenario file must
+// be bounded before anything is allocated for it; a 65536-node network
+// still builds and runs.
+const MaxNodes = 1 << 16
+
 // Validate returns the first configuration error of the scenario.
 func (s Scenario) Validate() error {
 	if s.Nodes < 2 {
 		return fmt.Errorf("core: %d nodes", s.Nodes)
+	}
+	if s.Nodes > MaxNodes {
+		return fmt.Errorf("core: %d nodes exceeds the limit of %d", s.Nodes, MaxNodes)
+	}
+	// Checked one by one first, so the product cannot overflow.
+	if s.Cols > 0 && s.Rows > 0 && (s.Cols > MaxNodes || s.Rows > MaxNodes || s.Cols*s.Rows > MaxNodes) {
+		return fmt.Errorf("core: %dx%d nodes exceeds the limit of %d", s.Cols, s.Rows, MaxNodes)
 	}
 	// NaN fails every ordered comparison, so test finiteness first: a
 	// NaN or infinite rate would pass the sign check below and make the

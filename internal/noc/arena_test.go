@@ -65,6 +65,54 @@ func TestNewNetworkRejectsOversizedGeometry(t *testing.T) {
 	}
 }
 
+// The buffer handle block is bounded before it is allocated: depths
+// whose block would pass MaxSlotHandles are rejected naming the field
+// with the larger share, and the exact limit is still accepted.
+func TestCheckSlotBlockBoundsBuffers(t *testing.T) {
+	s := topology.MustSpidergon(8)
+	vcs := routing.NewSpidergonRouting(s).VCs()
+	in, out := 0, 0
+	for v := 0; v < s.Nodes(); v++ {
+		in += len(s.In(v)) * vcs
+		out += len(s.Out(v)) * vcs
+	}
+	at := DefaultConfig()
+	at.OutBufCap = (MaxSlotHandles - in*at.InBufCap) / out
+	past := at
+	past.InBufCap += MaxSlotHandles - in*at.InBufCap - out*at.OutBufCap + 1
+	cases := []struct {
+		name    string
+		in, out int
+		want    string // "" means accepted
+	}{
+		{"paper", 1, 3, ""},
+		{"at-limit", at.InBufCap, at.OutBufCap, ""},
+		{"sum-past-limit", past.InBufCap, past.OutBufCap, "OutBufCap"},
+		{"out-4e9", 1, 4000000000, "OutBufCap"},
+		{"in-4e9", 4000000000, 3, "InBufCap"},
+		{"out-maxint", 1, math.MaxInt, "OutBufCap"},
+		{"both-maxint", math.MaxInt, math.MaxInt, "OutBufCap"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.InBufCap, cfg.OutBufCap = c.in, c.out
+			err := checkSlotBlock(s, vcs, cfg)
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Fatalf("got error %v, want one naming %s", err, c.want)
+			}
+		})
+	}
+	cfg := DefaultConfig()
+	cfg.OutBufCap = 4000000000
+	if _, err := NewNetwork(s, routing.NewSpidergonRouting(s), cfg, stats.NewCollector(0)); err == nil {
+		t.Fatal("NewNetwork accepted OutBufCap 4e9")
+	}
+}
+
 // With enough VCs the per-router occupancy masks span multiple words
 // (the seed's engine was limited to 64 slots — one word — per router).
 // On such a fabric the serial engine must reproduce the recorded chain

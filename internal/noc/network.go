@@ -91,12 +91,12 @@ type Network struct {
 	linkFlits []uint64
 	// Telemetry probe counters, maintained by the phase kernel exactly
 	// where flits move (so they cost one array increment, never an
-	// allocation): telOcc is the number of flits resident in each router's buffers,
-	// telInj/telEj the cumulative flits injected by / ejected at each
-	// node. Under EngineParallel each element is written only by the
-	// shard owning its node (or in the serial sections), so the probes
-	// stay race-clean. telemetry.Recorder samples them through
-	// Telemetry() once per cycle.
+	// allocation): telOcc is the number of flits resident in each
+	// router's buffers, telInj/telEj the cumulative flits injected by /
+	// ejected at each node. Under EngineParallel each element is written
+	// only by the shard owning its node (or in the serial sections), so
+	// the probes stay race-clean. telemetry.Recorder samples them
+	// through Telemetry() once per cycle.
 	telOcc []int32
 	telInj []uint64
 	telEj  []uint64
@@ -147,6 +147,9 @@ func NewNetwork(t topology.Topology, a routing.Algorithm, cfg Config, col *stats
 	}
 	if cfg.PacketLen > MaxPacketLen {
 		return nil, fmt.Errorf("noc: packet length %d exceeds handle limit %d", cfg.PacketLen, MaxPacketLen)
+	}
+	if err := checkSlotBlock(t, a.VCs(), cfg); err != nil {
+		return nil, err
 	}
 	n := &Network{topo: t, alg: a, cfg: cfg, col: col, pooling: true}
 	n.arena.pktLen = cfg.PacketLen

@@ -259,6 +259,41 @@ func (r *router) pushOut(op *outPort, vc int, h flitH, cycle uint64) {
 	q.push(h)
 }
 
+// MaxSlotHandles bounds the contiguous handle block that backs every
+// router buffer of one network (8 bytes a handle, so 128 MiB at the
+// limit), so an absurd InBufCap or OutBufCap is rejected before any of
+// it is allocated. The paper's largest geometry needs under 2k handles;
+// a 65536-node mesh at the default depths needs about 1M.
+const MaxSlotHandles = 1 << 24
+
+// checkSlotBlock rejects a buffer geometry whose handle block would
+// exceed MaxSlotHandles, naming the depth field with the larger share.
+func checkSlotBlock(t topology.Topology, vcs int, cfg Config) error {
+	in, out := 0, 0 // input slots and output queues, port × VC
+	for v := 0; v < t.Nodes(); v++ {
+		in += len(t.In(v)) * vcs
+		out += len(t.Out(v)) * vcs
+	}
+	// Saturate at the limit + 1 instead of multiplying: a depth near
+	// MaxInt must not wrap the product.
+	handles := func(queues, depth int) int {
+		if queues > 0 && depth > MaxSlotHandles/queues {
+			return MaxSlotHandles + 1
+		}
+		return queues * depth
+	}
+	inH, outH := handles(in, cfg.InBufCap), handles(out, cfg.OutBufCap)
+	if inH+outH <= MaxSlotHandles {
+		return nil
+	}
+	field, depth, queues, what := "OutBufCap", cfg.OutBufCap, out, "output queues"
+	if inH > outH {
+		field, depth, queues, what = "InBufCap", cfg.InBufCap, in, "input slots"
+	}
+	return fmt.Errorf("noc: %s %d too deep for %s: its %d %s need over %d flit handles in all",
+		field, depth, t.Name(), queues, what, MaxSlotHandles)
+}
+
 // newRouters builds every node's switching element. The router
 // structs, the backing handle arrays of every buffer, and the slot
 // masks each live in one contiguous block per network; each router's

@@ -309,6 +309,15 @@ func TestTableRoutingOnMeshIsDeadlockFree(t *testing.T) {
 	}
 }
 
+func TestTableRoutingBoundsNodes(t *testing.T) {
+	if _, err := NewTableRouting(topology.MustMesh(32, 32), 1); err != nil {
+		t.Fatalf("%d-node table rejected: %v", MaxTableNodes, err)
+	}
+	if _, err := NewTableRouting(topology.MustMesh(33, 32), 1); err == nil {
+		t.Fatalf("table over %d nodes accepted", 33*32)
+	}
+}
+
 func TestTableRoutingRejectsZeroVCs(t *testing.T) {
 	if _, err := NewTableRouting(topology.MustRing(5), 0); err == nil {
 		t.Fatal("0 vcs accepted")

@@ -20,16 +20,26 @@ type TableRouting struct {
 	next [][]topology.Direction
 }
 
+// MaxTableNodes bounds the topologies NewTableRouting accepts: the table
+// holds N² entries built by N breadth-first searches, 8 MiB and a few
+// tens of milliseconds at the limit (4096 nodes would take 128 MiB and
+// most of a second).
+const MaxTableNodes = 1 << 10
+
 // NewTableRouting computes minimal next-hop tables for t with the given
 // number of virtual channels (packets stay on VC 0; extra VCs are
 // available to the network for other purposes). Ties between equal-cost
 // next hops resolve to the lowest channel ID, so tables are
-// deterministic. It returns an error if t is disconnected.
+// deterministic. It returns an error if t is disconnected or has more
+// than MaxTableNodes nodes.
 func NewTableRouting(t topology.Topology, vcs int) (*TableRouting, error) {
 	if vcs < 1 {
 		return nil, fmt.Errorf("routing: table routing needs at least 1 vc, got %d", vcs)
 	}
 	n := t.Nodes()
+	if n > MaxTableNodes {
+		return nil, fmt.Errorf("routing: table routing over %d nodes exceeds the limit of %d", n, MaxTableNodes)
+	}
 	tr := &TableRouting{
 		name: "table-" + t.Name(),
 		vcs:  vcs,
