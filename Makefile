@@ -85,8 +85,8 @@ bench-speedup:
 # the garbage collector disabled. The handle-based arena keeps freed
 # packet records reachable from live slices, so a use-after-recycle
 # that GC timing might otherwise mask (or crash on) instead shows up
-# as an engine divergence here, where nothing is ever collected or
-# moved for the whole run.
+# as a mismatch against the recorded result digests here, where
+# nothing is ever collected or moved for the whole run.
 golden-gogcoff:
 	GOGC=off $(GO) test -count=1 -run 'TestGoldenCrossEngineMatrix/.*/knee' ./internal/core/
 
@@ -101,9 +101,11 @@ race-parallel:
 # race-parallel-4 re-runs the same matrix with GOMAXPROCS pinned to 4:
 # on a multi-core host the fused engine's workers genuinely race the
 # coordinator (spinning on the barrier instead of parking), which a
-# single-P run cannot exercise.
+# single-P run cannot exercise. -p 1 runs the two packages' race
+# binaries one after the other: at once, their 4-P spinning workers
+# oversubscribe a 2-core host and the suite runs into the test timeout.
 race-parallel-4:
-	GOMAXPROCS=4 $(GO) test -race -run 'Parallel|Credit' ./internal/noc/ ./internal/core/
+	GOMAXPROCS=4 $(GO) test -race -p 1 -run 'Parallel|Credit' ./internal/noc/ ./internal/core/
 
 # telemetry-check proves the FTDC-style capture end to end on every
 # push: a bounded knee run (the PerfGate knee workload: mesh-8x8
