@@ -22,7 +22,6 @@ import (
 // results every engine must reproduce.
 func runGolden(t *testing.T, name string, s Scenario) Result {
 	t.Helper()
-	s.Engine = noc.EngineActive
 	s.NoPool = false
 	got, err := Run(s)
 	if err != nil {
@@ -61,11 +60,10 @@ type namedScenario struct {
 	s    Scenario
 }
 
-// goldenMatrix is the golden cross-engine matrix: the paper's three
-// topologies at a load below the knee, at the knee, and past
-// saturation, under both wormhole and virtual cut-through, plus a
-// hot-spot run that exercises the ejection-port bottleneck paths.
-// Names are the subtest names.
+// goldenMatrix is the golden matrix: the paper's three topologies at a
+// load below the knee, at the knee, and past saturation, under both
+// wormhole and virtual cut-through, plus a hot-spot run that exercises
+// the ejection-port bottleneck paths. Names are the subtest names.
 func goldenMatrix() []namedScenario {
 	loads := []struct {
 		name   string

@@ -23,7 +23,7 @@ import (
 // testdata/kernel-oracle.json holds a randomized scenario matrix with
 // the SHA-256 digest of each scenario's WriteResultJSON bytes, plus a
 // few scripted runs with the hash chain of their per-cycle state
-// fingerprint, and the digests of the golden cross-engine scenarios
+// fingerprint, and the digests of the golden scenarios
 // (engine_test.go). The values were recorded from the retired
 // scan-everything sweep engine. The phase kernel — one-shard and at 2
 // and 3 shards — must reproduce every recorded value, so a change that
@@ -43,8 +43,8 @@ const oraclePath = "testdata/kernel-oracle.json"
 type oracleFile struct {
 	Digests []oracleDigest `json:"digests"`
 	Chains  []oracleChain  `json:"chains"`
-	// Golden holds the result digests of the golden cross-engine
-	// scenarios (engine_test.go), keyed by name.
+	// Golden holds the result digests of the golden scenarios
+	// (engine_test.go), keyed by name.
 	Golden []oracleNamed `json:"golden"`
 }
 

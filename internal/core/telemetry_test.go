@@ -123,16 +123,6 @@ func equalRows(a, b []uint64) bool {
 // every cycle.
 const gapCapturePath = "testdata/telemetry-gap-every-cycle.tsd"
 
-// gapScenario is a near-idle spidergon that leaves long quiescent gaps
-// between packets.
-func gapScenario() Scenario {
-	s := NewScenario(Spidergon, 16, UniformTraffic, 0.0008)
-	s.Warmup = 0
-	s.Measure = 4000
-	s.Seed = 3
-	return s
-}
-
 // TestTelemetryGapElision pins the fast-forward contract against the
 // recorded every-cycle capture: the active engine elides quiescent
 // cycles from its capture (no samples); on the cycles it did sample its
@@ -140,7 +130,11 @@ func gapScenario() Scenario {
 // recorded row must repeat the previous cycle's state — fast-forward
 // skips only cycles in which nothing changes.
 func TestTelemetryGapElision(t *testing.T) {
-	s := gapScenario()
+	// A near-idle spidergon leaves long quiescent gaps between packets.
+	s := NewScenario(Spidergon, 16, UniformTraffic, 0.0008)
+	s.Warmup = 0
+	s.Measure = 4000
+	s.Seed = 3
 	rawA, stA, _ := captureRun(t, s, 64)
 	ca, err := telemetry.Decode(bytes.NewReader(rawA))
 	if err != nil {

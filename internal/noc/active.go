@@ -8,13 +8,13 @@ import (
 // This file is the activity-driven simulation core: the one phase
 // kernel behind Network.Step for both EngineActive and EngineParallel.
 // Instead of sweeping every router × port × VC in all four phases each
-// cycle, each phase drains an incremental worklist at two
-// granularities: bitmap active sets over nodes select which
-// routers/sources a phase visits at all, and per-router slot-occupancy
-// masks (router.inOcc/ejOcc/outOcc, one bit per strided port × VC slot,
-// see mask.go) select which slots a visit touches — both updated
-// exactly where flits move, so a cycle's cost is proportional to
-// in-flight work, not network size. The worklists belong to the shards
+// cycle, each phase drains an incremental worklist at two granularities:
+// bitmap active sets over nodes select which routers/sources a phase
+// visits at all, and per-router slot-occupancy masks
+// (router.inOcc/ejOcc/outOcc, one bit per strided port × VC slot, see
+// mask.go) select which slots a visit touches — both updated exactly
+// where flits move, so a cycle's cost is proportional to in-flight
+// work, not network size. The worklists belong to the shards
 // of a decomposition: the serial engine is the one-shard case, a single
 // shard covering every router with no workers, barriers, mailboxes or
 // credit waits; parallel.go adds the multi-shard machinery around the
@@ -32,7 +32,8 @@ import (
 // than stored per router, so skipping an idle router (or fast-forwarding
 // whole idle cycles via SkipTo) cannot perturb arbitration.
 
-// Engine selects the implementation behind Network.Step.
+// Engine selects how Network.Step runs the phase kernel: over one shard
+// or over several.
 type Engine int
 
 const (
@@ -343,10 +344,10 @@ func (n *Network) switchInjectShard(s *shard) {
 }
 
 // switchPort runs the per-port VC arbitration over the occupied transit
-// slots of one input port (occ holds the port's VC
-// occupancy in its low bits): first movable flit in rrVC order wins
-// the port's crossbar input for this cycle. It maintains the masks and
-// the calling shard's worklists, and reports whether a flit moved.
+// slots of one input port (occ holds the port's VC occupancy in its low
+// bits): first movable flit in rrVC order wins the port's crossbar
+// input for this cycle. It maintains the masks and the calling shard's
+// worklists, and reports whether a flit moved.
 func (n *Network) switchPort(wl *worklists, r *router, p *inPort, occ uint64, vcs int) bool {
 	for j := 0; j < vcs; j++ {
 		inVC := p.rrVC + j
@@ -398,11 +399,11 @@ func (n *Network) switchPort(wl *worklists, r *router, p *inPort, occ uint64, vc
 // push up to InjectRate flits of its current packet into the local
 // router's output queues, opening the worm with a routing decision on
 // the head flit (a blocked ready flit is a source-blocked cycle), and
-// retires a source once its IP memory and in-progress worm drain. The collector events (packet acceptances,
-// source-blocked cycles) are deferred to finishCycle; everything else —
-// source queue, worm state, the output-queue pushes, the packet's
-// injection stamp (its source is unique to this shard) — is local to
-// the shard.
+// retires a source once its IP memory and in-progress worm drain. The
+// collector events (packet acceptances, source-blocked cycles) are
+// deferred to finishCycle; everything else — source queue, worm state,
+// the output-queue pushes, the packet's injection stamp (its source is
+// unique to this shard) — is local to the shard.
 func (n *Network) injectShard(s *shard) {
 	a := &n.arena
 	s.wl.ni.forEach(func(node int) {
@@ -595,7 +596,7 @@ func (n *Network) finishCycle() {
 	n.refreshBoundaryCredits()
 }
 
-// SetEngine selects the implementation behind Step. Switching is legal
+// SetEngine selects the decomposition behind Step. Switching is legal
 // at any point: the worklists are rebuilt from the buffers, so a
 // network mid-simulation carries its state over exactly. Leaving
 // EngineParallel stops its worker goroutines.

@@ -81,10 +81,10 @@ func (n *Network) Utilization() UtilizationSummary {
 }
 
 // PerfStats is the engine's deterministic work accounting: how many
-// worklist visits the phase loops performed and how many
-// idle cycles were fast-forwarded. Both counters are pure functions of
-// the scenario — independent of wall clock, host, and parallelism — so
-// the perf-regression gate (make bench-check) can compare them against
+// worklist visits the phase loops performed and how many idle cycles
+// were fast-forwarded. Both counters are pure functions of the
+// scenario — independent of wall clock, host, and parallelism — so the
+// perf-regression gate (make bench-check) can compare them against
 // a committed baseline without cross-machine noise.
 type PerfStats struct {
 	// Engine names the Step implementation that produced the counters.
