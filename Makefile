@@ -6,7 +6,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: all build test vet lint fmt fmt-check cover bench bench-check bench-alloc bench-baseline bench-speedup race-parallel race-parallel-4 golden-gogcoff telemetry-check dist-chaos nocbench-check ci
+.PHONY: all build test vet lint fmt fmt-check cover bench bench-check bench-alloc bench-baseline bench-speedup race-parallel race-parallel-4 golden-gogcoff telemetry-check fuzz-smoke dist-chaos nocbench-check ci
 
 all: build
 
@@ -120,6 +120,21 @@ telemetry-check:
 	diff -u testdata/telemetry-knee-summary.golden "$$tmp/summary.txt"; \
 	$(GO) run ./cmd/noctsd roundtrip "$$tmp/knee.tsd"
 
+# fuzz-smoke runs each decoder fuzz target for 10 s on top of its seed
+# corpus: the campaign-stream merge reader, the FileCache replay, the
+# telemetry capture decoder, the -config scenario decoder and the
+# distributed lease protocol. go test fuzzes one target per run, hence
+# the loop. A failing input lands in the package's testdata/fuzz/.
+FUZZ_TARGETS := internal/exp:FuzzStreamMerger internal/exp:FuzzFileCacheReplay \
+	internal/telemetry:FuzzTelemetryDecode internal/core:FuzzUnmarshalScenario \
+	internal/dist:FuzzProtoDecode
+
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz-smoke: $$t"; \
+		$(GO) test ./$${t%%:*} -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime 10s; \
+	done
+
 # dist-chaos runs the distributed-coordinator supervision suite twice
 # under the race detector: real subprocess workers SIGKILLed mid-shard,
 # hung past the heartbeat deadline and emitting torn shard files, with
@@ -142,4 +157,4 @@ nocbench-check:
 # against the same baseline, with -benchmem columns added for free.
 # cover re-runs the race suite with -coverprofile, exactly as CI's
 # coverage step does.
-ci: build vet lint fmt-check cover race-parallel race-parallel-4 golden-gogcoff telemetry-check dist-chaos nocbench-check bench bench-alloc bench-speedup
+ci: build vet lint fmt-check cover race-parallel race-parallel-4 golden-gogcoff telemetry-check fuzz-smoke dist-chaos nocbench-check bench bench-alloc bench-speedup

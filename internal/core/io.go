@@ -30,51 +30,65 @@ func UnmarshalScenario(data []byte) (Scenario, error) {
 	return base, nil
 }
 
-// WriteResultJSON writes r as indented JSON to w. A statistic with no
-// samples is NaN (the latency of a run that ejected nothing), which
-// JSON cannot represent: every non-finite float field is written as
-// null instead. A result whose fields are all finite is encoded as is.
+// WriteResultJSON writes r as indented JSON to w; absent statistics
+// are null (see Result.MarshalJSON).
 func WriteResultJSON(w io.Writer, r Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if v, ok := nullNonFinite(r); ok {
-		return enc.Encode(v)
-	}
 	return enc.Encode(r)
 }
 
-// nullNonFinite reports whether r holds a non-finite float field and,
-// if so, returns r as a value of an equivalent struct type whose
-// float64 fields are *float64, nil where r's value is non-finite.
-// encoding/json writes a nil pointer as null and a non-nil one exactly
-// like the float itself, so every other byte matches the plain encoding.
-func nullNonFinite(r Result) (any, bool) {
-	rv := reflect.ValueOf(r)
-	rt := rv.Type()
-	nonFinite := false
-	fields := make([]reflect.StructField, rt.NumField())
+// Stat is a float64 statistic on the wire: a finite value encodes as
+// encoding/json writes a float64, an absent one (NaN, or any other
+// non-finite value JSON cannot carry) as null.
+type Stat float64
+
+// Absent reports whether v is not finite.
+func (v Stat) Absent() bool { return math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) }
+
+// MarshalJSON implements json.Marshaler.
+func (v Stat) MarshalJSON() ([]byte, error) {
+	if v.Absent() {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(v))
+}
+
+// resultWire is Result with every float64 field retyped Stat: the same
+// fields in the same order, so a Result with no absent statistic
+// encodes byte for byte as the plain struct would.
+var resultWire = func() reflect.Type {
+	t := reflect.TypeOf(Result{})
+	fields := make([]reflect.StructField, t.NumField())
 	for i := range fields {
-		fields[i] = rt.Field(i)
+		fields[i] = t.Field(i)
 		if fields[i].Type.Kind() == reflect.Float64 {
-			fields[i].Type = reflect.PointerTo(fields[i].Type)
-			if x := rv.Field(i).Float(); math.IsNaN(x) || math.IsInf(x, 0) {
-				nonFinite = true
-			}
+			fields[i].Type = reflect.TypeOf(Stat(0))
 		}
 	}
-	if !nonFinite {
-		return nil, false
+	return reflect.StructOf(fields)
+}()
+
+// MarshalJSON writes r with its absent statistics as null.
+func (r Result) MarshalJSON() ([]byte, error) {
+	rv, wv := reflect.ValueOf(r), reflect.New(resultWire).Elem()
+	for i := range rv.NumField() {
+		wv.Field(i).Set(rv.Field(i).Convert(resultWire.Field(i).Type))
 	}
-	out := reflect.New(reflect.StructOf(fields)).Elem()
-	for i := range fields {
-		f := rv.Field(i)
-		if f.Kind() != reflect.Float64 {
-			out.Field(i).Set(f)
-		} else if x := f.Float(); !math.IsNaN(x) && !math.IsInf(x, 0) {
-			out.Field(i).Set(reflect.ValueOf(&x))
-		}
+	return json.Marshal(wv.Interface())
+}
+
+// UnmarshalJSON reads r and re-derives its absent statistics from the
+// rule on Result, so a record that carries zeros in their place (as
+// cache files once did, beside a list of the NaN fields) decodes to the
+// same Result as one that carries nulls.
+func (r *Result) UnmarshalJSON(data []byte) error {
+	type plain Result
+	if err := json.Unmarshal(data, (*plain)(r)); err != nil {
+		return err
 	}
-	return out.Interface(), true
+	r.MarkAbsent()
+	return nil
 }
 
 // ReadScenarios parses a JSON document holding either one scenario

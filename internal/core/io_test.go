@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -132,7 +134,8 @@ func TestWriteResultJSONNonFinite(t *testing.T) {
 				var want bytes.Buffer
 				enc := json.NewEncoder(&want)
 				enc.SetIndent("", "  ")
-				if err := enc.Encode(c.r); err != nil {
+				type plain Result // no MarshalJSON: the default encoding
+				if err := enc.Encode(plain(c.r)); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(buf.Bytes(), want.Bytes()) {
@@ -158,6 +161,69 @@ func TestWriteResultJSONNonFinite(t *testing.T) {
 				t.Fatalf("field order changed:\n%.80s", buf.String())
 			}
 		})
+	}
+}
+
+// legacyResults runs the two scenarios of testdata/legacy-result.json:
+// ring-8 uniform at λ = 0.01 (measured) and at λ = 0 (no ejection).
+func legacyResults(t *testing.T) []Result {
+	t.Helper()
+	var out []Result
+	for _, rate := range []float64{0.01, 0} {
+		s := NewScenario(Ring, 8, UniformTraffic, rate)
+		s.Warmup, s.Measure = 50, 200
+		r, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, r)
+	}
+	if out[0].EjectedPackets == 0 || out[1].EjectedPackets != 0 {
+		t.Fatalf("ejections %d and %d, want some and none", out[0].EjectedPackets, out[1].EjectedPackets)
+	}
+	return out
+}
+
+// WriteResultJSON keeps the bytes recorded before Result owned its JSON
+// form, measured and zero-ejection runs alike. The fixture is a frozen
+// format: never re-record it.
+func TestWriteResultJSONLegacyBytes(t *testing.T) {
+	var buf bytes.Buffer
+	for _, r := range legacyResults(t) {
+		if err := WriteResultJSON(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile("testdata/legacy-result.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WriteResultJSON bytes changed:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
+
+// A Result survives a JSON round trip bit for bit, absent statistics
+// included, and a record that carries zeros in place of the absent
+// values decodes to the same Result as one that carries nulls.
+func TestResultJSONRoundTrip(t *testing.T) {
+	results := legacyResults(t)
+	zeroed := results[1]
+	zeroed.MeanLatency, zeroed.P50Latency, zeroed.P95Latency, zeroed.MeanNetLatency = 0, 0, 0, 0
+	zeroed.MeanHops, zeroed.EnergyPerPacket, zeroed.TotalEnergy = 0, 0, 0
+	for i, r := range append(results, zeroed) {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Result
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		want := results[min(i, 1)]
+		if fmt.Sprintf("%+v", back) != fmt.Sprintf("%+v", want) {
+			t.Errorf("result %d decodes to\n%+v\nwant\n%+v", i, back, want)
+		}
 	}
 }
 

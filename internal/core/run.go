@@ -37,6 +37,13 @@ type Result struct {
 	// saturation).
 	AcceptedFlitRate float64
 
+	// The latency family — MeanLatency through MeanHops, and
+	// EnergyPerPacket and TotalEnergy — is measured over the packets
+	// ejected in the measurement window: stats.Collector adds one sample
+	// to each for every ejection it counts. A run that ejected no packet
+	// therefore has none of them. Such a statistic is absent: NaN in
+	// memory, null in JSON and NULL in SQLite (see MarkAbsent).
+
 	// MeanLatency is creation-to-ejection in cycles; quantiles of the
 	// same distribution follow. MeanNetLatency excludes source queueing.
 	MeanLatency    float64
@@ -64,6 +71,18 @@ type Result struct {
 	// multiplies by the ejected packet count.
 	EnergyPerPacket float64
 	TotalEnergy     float64
+}
+
+// MarkAbsent applies the absence rule: when r ejected no packet, its
+// latency family is NaN. Readers of a wire form call it, so a record
+// that wrote zeros in place of the absent values reads back the same as
+// one that wrote nulls.
+func (r *Result) MarkAbsent() {
+	if r.EjectedPackets == 0 {
+		nan := math.NaN()
+		r.MeanLatency, r.P50Latency, r.P95Latency, r.MeanNetLatency, r.MeanHops = nan, nan, nan, nan, nan
+		r.EnergyPerPacket, r.TotalEnergy = nan, nan
+	}
 }
 
 // Run executes the scenario to completion and returns its measurements.

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"math"
 
 	"gonoc/internal/core"
@@ -10,7 +11,8 @@ import (
 // Metric summarises one performance index across the replications of a
 // grid point.
 type Metric struct {
-	// Mean is the cross-replication sample mean.
+	// Mean is the cross-replication sample mean; NaN (null in JSON)
+	// when no replication measured the metric.
 	Mean float64 `json:"mean"`
 	// CI95 is the 95% confidence half-width around Mean, from the
 	// Student-t quantile (replication counts are small); zero with
@@ -18,13 +20,20 @@ type Metric struct {
 	CI95 float64 `json:"ci95"`
 }
 
-// metricOf converts a summary into the record form, mapping the NaNs of
-// degenerate sample counts to zero so aggregates always marshal.
+// MarshalJSON writes an absent Mean (no replication measured the
+// metric) as null.
+func (m Metric) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Mean core.Stat `json:"mean"`
+		CI95 float64   `json:"ci95"`
+	}{core.Stat(m.Mean), m.CI95})
+}
+
+// metricOf converts a summary into the record form. The mean of an
+// empty summary stays NaN (absent); the CI95 of fewer than two
+// observations is zero.
 func metricOf(s *stats.Summary) Metric {
 	m := Metric{Mean: s.Mean(), CI95: s.CI95T()}
-	if math.IsNaN(m.Mean) {
-		m.Mean = 0
-	}
 	if math.IsNaN(m.CI95) {
 		m.CI95 = 0
 	}

@@ -2,10 +2,10 @@ package exp
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -91,63 +91,24 @@ const cacheFile = "results.jsonl"
 // as each result arrives — one line-sized write per simulation, so an
 // interrupt at any point loses nothing already measured. The file is
 // append-only during a campaign; Compact rewrites it without the
-// superseded lines. Opening the
-// cache replays the file, so an interrupted campaign resumes from
-// whatever completed — a torn final line (from a killed process) is
-// skipped, not fatal. The on-disk order is the runner's emission
-// order, hence deterministic for a given campaign.
+// superseded lines. Opening the cache replays the file, so an
+// interrupted campaign resumes from whatever completed — a torn final
+// line (from a killed process) is skipped, not fatal. The on-disk order
+// is the runner's emission order, hence deterministic for a given
+// campaign.
 type FileCache struct {
 	mem  *MemCache
 	f    *os.File
 	path string
 }
 
-// cacheEntry is the JSONL wire form of one cached result. Results can
-// carry NaN metrics (a replication that measured no packet), which
-// encoding/json rejects, so the wire form stores an explicit list of
-// the fields that were NaN and zeroes them in the payload.
+// cacheEntry is the JSONL wire form of one cached result. Absent
+// statistics are null (core.Result.MarshalJSON); lines written with
+// zeros and a "nans" list in their place decode to the same Result
+// (core.Result.UnmarshalJSON).
 type cacheEntry struct {
 	Key    string      `json:"key"`
 	Result core.Result `json:"result"`
-	NaNs   []string    `json:"nans,omitempty"`
-}
-
-// nanFields enumerates the Result metrics that can be NaN, as name +
-// accessor pairs shared by encode and decode.
-var nanFields = []struct {
-	name string
-	get  func(*core.Result) *float64
-}{
-	{"mean_latency", func(r *core.Result) *float64 { return &r.MeanLatency }},
-	{"p50_latency", func(r *core.Result) *float64 { return &r.P50Latency }},
-	{"p95_latency", func(r *core.Result) *float64 { return &r.P95Latency }},
-	{"mean_net_latency", func(r *core.Result) *float64 { return &r.MeanNetLatency }},
-	{"mean_hops", func(r *core.Result) *float64 { return &r.MeanHops }},
-	{"energy_per_packet", func(r *core.Result) *float64 { return &r.EnergyPerPacket }},
-	{"total_energy", func(r *core.Result) *float64 { return &r.TotalEnergy }},
-}
-
-func encodeEntry(key string, r core.Result) cacheEntry {
-	e := cacheEntry{Key: key, Result: r}
-	for _, f := range nanFields {
-		if p := f.get(&e.Result); math.IsNaN(*p) {
-			*p = 0
-			e.NaNs = append(e.NaNs, f.name)
-		}
-	}
-	return e
-}
-
-func (e cacheEntry) decode() core.Result {
-	r := e.Result
-	for _, name := range e.NaNs {
-		for _, f := range nanFields {
-			if f.name == name {
-				*f.get(&r) = math.NaN()
-			}
-		}
-	}
-	return r
 }
 
 // OpenFileCache opens (creating if needed) the JSONL result cache in
@@ -162,20 +123,40 @@ func OpenFileCache(dir string) (*FileCache, error) {
 		return nil, fmt.Errorf("exp: cache file: %w", err)
 	}
 	c := &FileCache{mem: NewMemCache(), f: f, path: path}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		var e cacheEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.Key == "" {
-			continue // torn or foreign line; resume past it
-		}
-		_ = c.mem.Store(e.Key, e.decode())
+	_, torn, err := c.scan(func(e cacheEntry, _ []byte) { _ = c.mem.Store(e.Key, e.Result) })
+	if err == nil && torn {
+		// End the torn line, so the next append starts a line of its
+		// own instead of being glued onto the torn bytes and skipped
+		// with them on the next open.
+		_, err = f.Write([]byte{'\n'})
 	}
-	if err := sc.Err(); err != nil {
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("exp: reading cache: %w", err)
 	}
 	return c, nil
+}
+
+// scan reads the store from its start and calls fn with each line that
+// decodes to an entry; torn or foreign lines are skipped. It returns
+// the number of lines and whether the last one lacks its newline (a
+// writer killed mid-append).
+func (c *FileCache) scan(fn func(e cacheEntry, line []byte)) (lines int, torn bool, err error) {
+	if _, err := c.f.Seek(0, io.SeekStart); err != nil {
+		return 0, false, err
+	}
+	data, err := io.ReadAll(c.f)
+	if err != nil {
+		return 0, false, err
+	}
+	for line := range bytes.Lines(data) {
+		lines++
+		var e cacheEntry
+		if json.Unmarshal(line, &e) == nil && e.Key != "" {
+			fn(e, bytes.TrimSuffix(line, []byte{'\n'}))
+		}
+	}
+	return lines, len(data) > 0 && data[len(data)-1] != '\n', nil
 }
 
 // Lookup implements Source.
@@ -192,7 +173,7 @@ func (c *FileCache) Store(key string, r core.Result) error {
 	if dup {
 		return nil
 	}
-	b, err := json.Marshal(encodeEntry(key, r))
+	b, err := json.Marshal(cacheEntry{Key: key, Result: r})
 	if err != nil {
 		return fmt.Errorf("exp: encoding cache entry: %w", err)
 	}
@@ -218,27 +199,16 @@ func (c *FileCache) Store(key string, r core.Result) error {
 // survives the rename but the file it feeds is unlinked). Run it
 // between campaigns, as `nocsweep -cache-compact` does.
 func (c *FileCache) Compact() (dropped int, err error) {
-	if _, err := c.f.Seek(0, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("exp: compact rewind: %w", err)
-	}
-	// First pass: latest raw line per key, in first-appearance order.
+	// Latest raw line per key, in first-appearance order.
 	latest := make(map[string][]byte)
 	var order []string
-	lines := 0
-	sc := bufio.NewScanner(c.f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		lines++
-		var e cacheEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.Key == "" {
-			continue // torn or foreign line: dropped
-		}
+	lines, _, err := c.scan(func(e cacheEntry, line []byte) {
 		if _, ok := latest[e.Key]; !ok {
 			order = append(order, e.Key)
 		}
-		latest[e.Key] = append([]byte(nil), sc.Bytes()...)
-	}
-	if err := sc.Err(); err != nil {
+		latest[e.Key] = line
+	})
+	if err != nil {
 		return 0, fmt.Errorf("exp: compact scan: %w", err)
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(c.path), cacheFile+".compact-*")
@@ -260,6 +230,12 @@ func (c *FileCache) Compact() (dropped int, err error) {
 	if err := w.Flush(); err != nil {
 		tmp.Close()
 		return 0, fmt.Errorf("exp: compact write: %w", err)
+	}
+	// Make the rewrite durable before it replaces the original: a crash
+	// after an unsynced rename can leave an empty or partial store.
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return 0, fmt.Errorf("exp: compact sync: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), c.path); err != nil {
 		tmp.Close()

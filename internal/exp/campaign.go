@@ -3,7 +3,7 @@
 // traffic patterns and injection rates that underlies every figure of
 // the paper — into replicated, deterministically seeded scenarios, runs
 // them on a cancellable worker pool, and streams the results to
-// pluggable sinks (JSONL, CSV, in-memory aggregation with confidence
+// pluggable sinks (JSONL, SQLite, in-memory aggregation with confidence
 // intervals). The same campaign spec and seed produce byte-identical
 // sink output at any parallelism.
 package exp

@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"gonoc/internal/core"
@@ -61,11 +61,6 @@ func formatRanges(rs []IndexRange) string {
 // shard files of a campaign reproduces the unsharded output file byte
 // for byte. Summary records encountered in the input (from non-shard
 // streams) are dropped and recomputed.
-//
-// One caveat: a replication that measured no packet writes its NaN
-// metrics as zeros on the wire; the merger restores them from the
-// Ejected counter (zero ejections ⇔ NaN latency family), keeping the
-// recomputed summaries exact.
 type StreamMerger struct {
 	w      io.Writer
 	agg    *aggregator
@@ -77,7 +72,6 @@ type StreamMerger struct {
 	// are counted as legacy; validation is skipped for purely legacy
 	// input (nothing to validate against) but a mix is rejected.
 	counts  map[int]int
-	maxIdx  int
 	indexed int
 	legacy  int
 }
@@ -101,22 +95,22 @@ func (m *StreamMerger) Add(r io.Reader) error {
 	for sc.Scan() {
 		line++
 		var rec runRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		err := json.Unmarshal(sc.Bytes(), &rec)
+		if rec.Kind == "summary" {
+			// Recomputed at Finish. Its metric objects do not fit a run
+			// record's numbers; json still decodes the kind past that
+			// type error (a syntax error leaves it empty).
+			continue
+		}
+		if err != nil {
 			return fmt.Errorf("exp: merge input %d line %d: %w", ri, line, err)
 		}
-		switch rec.Kind {
-		case "summary":
-			continue // recomputed at Finish
-		case "run":
-		default:
+		if rec.Kind != "run" {
 			return fmt.Errorf("exp: merge input %d line %d: unknown kind %q", ri, line, rec.Kind)
 		}
 		if rec.Index != nil {
 			m.indexed++
 			m.counts[*rec.Index]++
-			if *rec.Index > m.maxIdx {
-				m.maxIdx = *rec.Index
-			}
 		} else {
 			m.legacy++
 		}
@@ -175,8 +169,9 @@ func (m *StreamMerger) Finish() ([]Aggregate, error) {
 	return aggs, nil
 }
 
-// coverage checks that the merged run indexes tile [0, maxIdx] exactly
-// once each.
+// coverage checks that the merged run indexes tile [0, max] exactly
+// once each. It walks the distinct indexes seen, not the range they
+// span, so one corrupt huge index costs no more than any other.
 func (m *StreamMerger) coverage() error {
 	if m.indexed == 0 {
 		return nil // legacy streams carry no indexes; nothing to check
@@ -184,24 +179,30 @@ func (m *StreamMerger) coverage() error {
 	if m.legacy > 0 {
 		return fmt.Errorf("exp: shard coverage: %d record(s) without index field mixed with %d indexed ones; re-run the shards with one nocsweep version", m.legacy, m.indexed)
 	}
-	var missing, dup []int
-	for i := 0; i <= m.maxIdx; i++ {
-		switch n := m.counts[i]; {
-		case n == 0:
-			missing = append(missing, i)
-		case n > 1:
+	idx := slices.Sorted(maps.Keys(m.counts))
+	if idx[0] < 0 {
+		return fmt.Errorf("exp: shard coverage: negative run index %d", idx[0])
+	}
+	var missing []IndexRange
+	var dup []int
+	next := 0
+	for _, i := range idx {
+		if i > next {
+			missing = append(missing, IndexRange{Lo: next, Hi: i - 1})
+		}
+		if m.counts[i] > 1 {
 			dup = append(dup, i)
 		}
+		next = i + 1
 	}
 	if len(missing) == 0 && len(dup) == 0 {
 		return nil
 	}
-	return &CoverageError{Missing: toRanges(missing), Duplicated: toRanges(dup)}
+	return &CoverageError{Missing: missing, Duplicated: toRanges(dup)}
 }
 
 // toRanges compresses a sorted index list into contiguous ranges.
 func toRanges(idx []int) []IndexRange {
-	sort.Ints(idx)
 	var out []IndexRange
 	for _, i := range idx {
 		if n := len(out); n > 0 && out[n-1].Hi == i-1 {
@@ -231,24 +232,20 @@ func MergeRuns(readers []io.Reader, w io.Writer) ([]Aggregate, error) {
 	return m.Finish()
 }
 
-// result reconstructs the aggregation-relevant slice of a core.Result
-// from the wire record, restoring the NaNs the wire form flattened to
-// zero: the latency family is NaN exactly when no packet completed
-// within the measurement window.
+// result reads the record back as the slice of a core.Result that
+// aggregation uses, re-deriving the absent statistics from the core
+// rule (streams written before absent values were null carry zeros).
 func (r runRecord) result() core.Result {
 	res := core.Result{
 		Throughput:       r.Throughput,
 		AcceptedFlitRate: r.Accepted,
-		MeanLatency:      r.Latency,
-		P95Latency:       r.P95Latency,
-		MeanHops:         r.MeanHops,
+		MeanLatency:      float64(r.Latency),
+		P95Latency:       float64(r.P95Latency),
+		MeanHops:         float64(r.MeanHops),
 		InjectedPackets:  r.Injected,
 		EjectedPackets:   r.Ejected,
-		EnergyPerPacket:  r.EnergyPerPk,
+		EnergyPerPacket:  float64(r.EnergyPerPk),
 	}
-	if r.Ejected == 0 {
-		nan := math.NaN()
-		res.MeanLatency, res.P95Latency, res.MeanHops, res.EnergyPerPacket = nan, nan, nan, nan
-	}
+	res.MarkAbsent()
 	return res
 }

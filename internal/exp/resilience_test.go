@@ -65,6 +65,25 @@ func TestMergeDetectsOverlappingShards(t *testing.T) {
 	}
 }
 
+// A corrupt run index is reported from the indexes present, not by
+// walking the range they span: a huge one names the range below it as
+// missing at once, and a negative one is rejected.
+func TestMergeCorruptIndex(t *testing.T) {
+	huge := strings.Replace(emptyRunNull, `"index":0`, `"index":1099511627776`, 1)
+	_, err := MergeRuns(byteReaders([][]byte{[]byte(emptyRunNull + huge)}), io.Discard)
+	var cov *CoverageError
+	if !errors.As(err, &cov) {
+		t.Fatalf("merge with a huge index returned %v, want CoverageError", err)
+	}
+	if want := []IndexRange{{Lo: 1, Hi: 1<<40 - 1}}; !reflect.DeepEqual(cov.Missing, want) || cov.Duplicated != nil {
+		t.Fatalf("coverage error %+v, want missing %v", cov, want)
+	}
+	negative := strings.Replace(emptyRunNull, `"index":0`, `"index":-3`, 1)
+	if _, err := MergeRuns(byteReaders([][]byte{[]byte(emptyRunNull + negative)}), io.Discard); err == nil || !strings.Contains(err.Error(), "negative run index -3") {
+		t.Fatalf("merge with a negative index returned %v", err)
+	}
+}
+
 var indexField = regexp.MustCompile(`"index":\d+,`)
 
 // Streams written before the index field existed (legacy) still merge:

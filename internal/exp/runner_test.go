@@ -94,6 +94,21 @@ func TestMergeRestoresEmptyReplications(t *testing.T) {
 	}
 }
 
+// A stream that already carries summary records (an unsharded output)
+// merges to itself: the merge drops its summaries and recomputes them.
+func TestMergeRecomputesSummaryRecords(t *testing.T) {
+	c := testCampaign()
+	c.FlitRates = []float64{0, 0.05}
+	full := runJSONL(t, Runner{Parallel: 2}, c)
+	var merged bytes.Buffer
+	if _, err := MergeRuns(byteReaders([][]byte{full}), &merged); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(merged.Bytes(), full) {
+		t.Fatal("merging an unsharded stream changed it")
+	}
+}
+
 // byteReaders adapts byte slices to readers.
 func byteReaders(bs [][]byte) []io.Reader {
 	out := make([]io.Reader, len(bs))
@@ -127,7 +142,8 @@ func TestCacheWarmReplayZeroSimulations(t *testing.T) {
 // The file cache persists across opens and resumes partial campaigns:
 // a run that completed one shard leaves the other shard's simulations
 // as the only cache misses of a later full run, and a torn trailing
-// line (killed process) is skipped on load.
+// line (killed process) is skipped on load without swallowing the
+// first result appended after it.
 func TestFileCacheResume(t *testing.T) {
 	dir := t.TempDir()
 	c := testCampaign()
@@ -158,7 +174,6 @@ func TestFileCacheResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cache.Close()
 	if cache.Len() != 6 {
 		t.Fatalf("reloaded %d entries, want 6", cache.Len())
 	}
@@ -166,9 +181,22 @@ func TestFileCacheResume(t *testing.T) {
 	if cache.Misses() != 6 {
 		t.Fatalf("resume simulated %d points, want 6", cache.Misses())
 	}
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
 	uncached := runJSONL(t, Runner{Parallel: 4}, c)
 	if !bytes.Equal(full, uncached) {
 		t.Fatal("resumed run differs from a fresh run")
+	}
+
+	// Every result the resumed run stored survives the next open.
+	cache, err = OpenFileCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	if cache.Len() != 12 {
+		t.Fatalf("reopened after the resumed run: %d entries, want 12", cache.Len())
 	}
 }
 
@@ -494,7 +522,7 @@ func TestFileCacheCompact(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "results.jsonl")
 	mk := func(key string, tput float64) string {
-		b, err := json.Marshal(encodeEntry(key, core.Result{Throughput: tput}))
+		b, err := json.Marshal(cacheEntry{Key: key, Result: core.Result{Throughput: tput}})
 		if err != nil {
 			t.Fatal(err)
 		}

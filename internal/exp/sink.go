@@ -1,11 +1,9 @@
 package exp
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 
 	"gonoc/internal/core"
 )
@@ -54,12 +52,14 @@ func (m MultiSink) Summary(a Aggregate) error {
 	return nil
 }
 
-// runRecord is the JSONL wire form of one replication. Index is the
-// global campaign enumeration position (Point.Index), carried on the
-// wire so shard-merge coverage validation can prove that a set of
-// shard files tiles the campaign exactly; it is a pointer so streams
-// written before the field existed decode as nil (legacy) rather than
-// as a false position 0.
+// runRecord is the wire form of one replication, shared by the JSONL
+// and SQLite sinks. Index is the global campaign enumeration position
+// (Point.Index), carried on the wire so shard-merge coverage
+// validation can prove that a set of shard files tiles the campaign
+// exactly; it is a pointer so streams written before the field existed
+// decode as nil (legacy) rather than as a false position 0. The
+// latency statistics are absent — null — when the replication ejected
+// no packet (see core.Result).
 type runRecord struct {
 	Kind     string            `json:"kind"`
 	Index    *int              `json:"index,omitempty"`
@@ -71,14 +71,38 @@ type runRecord struct {
 	Rep      int               `json:"rep"`
 	Seed     uint64            `json:"seed"`
 
-	Throughput  float64 `json:"throughput"`
-	Accepted    float64 `json:"accepted"`
-	Latency     float64 `json:"latency"`
-	P95Latency  float64 `json:"p95_latency"`
-	MeanHops    float64 `json:"hops"`
-	Injected    uint64  `json:"injected"`
-	Ejected     uint64  `json:"ejected"`
-	EnergyPerPk float64 `json:"energy_per_packet"`
+	Throughput  float64   `json:"throughput"`
+	Accepted    float64   `json:"accepted"`
+	Latency     core.Stat `json:"latency"`
+	P95Latency  core.Stat `json:"p95_latency"`
+	MeanHops    core.Stat `json:"hops"`
+	Injected    uint64    `json:"injected"`
+	Ejected     uint64    `json:"ejected"`
+	EnergyPerPk core.Stat `json:"energy_per_packet"`
+}
+
+// newRunRecord builds the run record of one outcome.
+func newRunRecord(o Outcome) runRecord {
+	idx := o.Point.Index
+	return runRecord{
+		Kind:        "run",
+		Index:       &idx,
+		Campaign:    o.Campaign,
+		Topo:        o.Point.Topo,
+		Nodes:       o.Point.Nodes,
+		Traffic:     o.Point.Traffic,
+		FlitRate:    o.Point.FlitRate,
+		Rep:         o.Point.Rep,
+		Seed:        o.Point.Scenario.Seed,
+		Throughput:  o.Result.Throughput,
+		Accepted:    o.Result.AcceptedFlitRate,
+		Latency:     core.Stat(o.Result.MeanLatency),
+		P95Latency:  core.Stat(o.Result.P95Latency),
+		MeanHops:    core.Stat(o.Result.MeanHops),
+		Injected:    o.Result.InjectedPackets,
+		Ejected:     o.Result.EjectedPackets,
+		EnergyPerPk: core.Stat(o.Result.EnergyPerPacket),
+	}
 }
 
 // summaryRecord is the JSONL wire form of one aggregated grid point.
@@ -109,93 +133,9 @@ func (j *JSONLWriter) writeLine(v any) error {
 }
 
 // Run implements Sink.
-func (j *JSONLWriter) Run(o Outcome) error {
-	idx := o.Point.Index
-	return j.writeLine(runRecord{
-		Kind:        "run",
-		Index:       &idx,
-		Campaign:    o.Campaign,
-		Topo:        o.Point.Topo,
-		Nodes:       o.Point.Nodes,
-		Traffic:     o.Point.Traffic,
-		FlitRate:    o.Point.FlitRate,
-		Rep:         o.Point.Rep,
-		Seed:        o.Point.Scenario.Seed,
-		Throughput:  o.Result.Throughput,
-		Accepted:    o.Result.AcceptedFlitRate,
-		Latency:     nanToZero(o.Result.MeanLatency),
-		P95Latency:  nanToZero(o.Result.P95Latency),
-		MeanHops:    nanToZero(o.Result.MeanHops),
-		Injected:    o.Result.InjectedPackets,
-		Ejected:     o.Result.EjectedPackets,
-		EnergyPerPk: nanToZero(o.Result.EnergyPerPacket),
-	})
-}
+func (j *JSONLWriter) Run(o Outcome) error { return j.writeLine(newRunRecord(o)) }
 
 // Summary implements Sink.
 func (j *JSONLWriter) Summary(a Aggregate) error {
 	return j.writeLine(summaryRecord{Kind: "summary", Aggregate: a})
-}
-
-// CSVWriter streams the same records as JSONLWriter in a flat CSV
-// layout: a header, one "run" row per replication, then one "summary"
-// row per grid point with the confidence columns filled. Fields are
-// quoted by encoding/csv, so free-form campaign names and traffic
-// labels cannot shift columns.
-type CSVWriter struct {
-	w           *csv.Writer
-	wroteHeader bool
-}
-
-// NewCSVWriter returns a sink writing to w. The caller owns w.
-func NewCSVWriter(w io.Writer) *CSVWriter { return &CSVWriter{w: csv.NewWriter(w)} }
-
-func (c *CSVWriter) write(row []string) error {
-	if !c.wroteHeader {
-		c.wroteHeader = true
-		header := []string{"kind", "campaign", "topo", "nodes", "traffic", "flit_rate", "rep", "seed", "reps",
-			"throughput", "throughput_ci95", "accepted", "latency", "latency_ci95", "p95_latency", "hops"}
-		if err := c.w.Write(header); err != nil {
-			return err
-		}
-	}
-	if err := c.w.Write(row); err != nil {
-		return err
-	}
-	c.w.Flush()
-	return c.w.Error()
-}
-
-// g renders a float the way %g does, deterministically.
-func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// Run implements Sink.
-func (c *CSVWriter) Run(o Outcome) error {
-	return c.write([]string{
-		"run", o.Campaign, string(o.Point.Topo), strconv.Itoa(o.Point.Nodes), o.Point.Traffic,
-		g(o.Point.FlitRate), strconv.Itoa(o.Point.Rep), strconv.FormatUint(o.Point.Scenario.Seed, 10), "",
-		g(o.Result.Throughput), "", g(o.Result.AcceptedFlitRate),
-		g(nanToZero(o.Result.MeanLatency)), "", g(nanToZero(o.Result.P95Latency)),
-		g(nanToZero(o.Result.MeanHops)),
-	})
-}
-
-// Summary implements Sink.
-func (c *CSVWriter) Summary(a Aggregate) error {
-	return c.write([]string{
-		"summary", a.Campaign, string(a.Topo), strconv.Itoa(a.Nodes), a.Traffic,
-		g(a.FlitRate), "", "", strconv.Itoa(a.Reps),
-		g(a.Throughput.Mean), g(a.Throughput.CI95), g(a.Accepted.Mean),
-		g(a.Latency.Mean), g(a.Latency.CI95), g(a.P95Latency.Mean),
-		g(a.MeanHops.Mean),
-	})
-}
-
-// nanToZero maps NaN (no observations, e.g. a zero-rate run) to zero so
-// records always encode.
-func nanToZero(v float64) float64 {
-	if v != v {
-		return 0
-	}
-	return v
 }

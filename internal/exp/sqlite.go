@@ -3,16 +3,18 @@ package exp
 import (
 	"strconv"
 
+	"gonoc/internal/core"
 	"gonoc/internal/sqlitefile"
 )
 
 // SQLiteSink archives campaign output as a queryable SQLite database:
 // a `runs` table with one row per (scenario, replication) and a
 // `summaries` table with one row per aggregated grid point — the same
-// records the JSONL and CSV sinks stream, but indexed by rowid and
-// readable with any stock sqlite3. Rows accumulate in memory and the
-// file is written on Close, so a crashed campaign leaves no partial
-// archive. Equal campaigns produce byte-identical databases.
+// records the JSONL sink streams, absent statistics as NULL, but
+// indexed by rowid and readable with any stock sqlite3. Rows accumulate
+// in memory and the file is written on Close, so a crashed campaign
+// leaves no partial archive. Equal campaigns produce byte-identical
+// databases.
 type SQLiteSink struct {
 	path      string
 	db        *sqlitefile.DB
@@ -38,13 +40,12 @@ func NewSQLiteSink(path string) *SQLiteSink {
 
 // Run implements Sink.
 func (s *SQLiteSink) Run(o Outcome) error {
+	r := newRunRecord(o)
 	s.runs.Append(
-		o.Campaign, string(o.Point.Topo), int64(o.Point.Nodes), o.Point.Traffic,
-		o.Point.FlitRate, int64(o.Point.Rep), strconv.FormatUint(o.Point.Scenario.Seed, 10),
-		o.Result.Throughput, o.Result.AcceptedFlitRate,
-		nanToZero(o.Result.MeanLatency), nanToZero(o.Result.P95Latency),
-		nanToZero(o.Result.MeanHops), o.Result.InjectedPackets,
-		o.Result.EjectedPackets, nanToZero(o.Result.EnergyPerPacket),
+		r.Campaign, string(r.Topo), int64(r.Nodes), r.Traffic, r.FlitRate, int64(r.Rep),
+		strconv.FormatUint(r.Seed, 10), r.Throughput, r.Accepted,
+		sqlStat(r.Latency), sqlStat(r.P95Latency), sqlStat(r.MeanHops),
+		r.Injected, r.Ejected, sqlStat(r.EnergyPerPk),
 	)
 	return nil
 }
@@ -54,9 +55,18 @@ func (s *SQLiteSink) Summary(a Aggregate) error {
 	s.summaries.Append(
 		a.Campaign, string(a.Topo), int64(a.Nodes), a.Traffic, a.FlitRate,
 		int64(a.Reps), a.Throughput.Mean, a.Throughput.CI95, a.Accepted.Mean,
-		a.Latency.Mean, a.Latency.CI95, a.P95Latency.Mean, a.MeanHops.Mean,
+		sqlStat(core.Stat(a.Latency.Mean)), a.Latency.CI95,
+		sqlStat(core.Stat(a.P95Latency.Mean)), sqlStat(core.Stat(a.MeanHops.Mean)),
 	)
 	return nil
+}
+
+// sqlStat is v as an SQLite value: NULL when absent.
+func sqlStat(v core.Stat) any {
+	if v.Absent() {
+		return nil
+	}
+	return float64(v)
 }
 
 // Close assembles and writes the database file.

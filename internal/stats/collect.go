@@ -170,9 +170,6 @@ func (c *Collector) AcceptedRate() float64 {
 // (creation to tail ejection, queueing at the source included).
 func (c *Collector) MeanLatency() float64 { return c.latency.Mean() }
 
-// LatencySummary exposes the full latency summary.
-func (c *Collector) LatencySummary() *Summary { return &c.latency }
-
 // LatencyQuantile returns the p-quantile of packet latency.
 func (c *Collector) LatencyQuantile(p float64) float64 { return c.latencyQ.Quantile(p) }
 
@@ -184,6 +181,3 @@ func (c *Collector) MeanNetworkLatency() float64 { return c.netLat.Mean() }
 // simulation-side estimate of E[D] validated against the analytic value
 // in the paper's Figure 5.
 func (c *Collector) MeanHops() float64 { return c.hopCounts.Mean() }
-
-// HopsSummary exposes the hop count summary.
-func (c *Collector) HopsSummary() *Summary { return &c.hopCounts }

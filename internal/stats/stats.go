@@ -221,115 +221,6 @@ func (q *Quantiler) Quantile(p float64) float64 {
 // Median returns the 0.5 quantile.
 func (q *Quantiler) Median() float64 { return q.Quantile(0.5) }
 
-// Histogram is a fixed-width bucketed counter over [Lo, Hi); values
-// outside the range land in dedicated underflow/overflow buckets.
-type Histogram struct {
-	Lo, Hi    float64
-	buckets   []uint64
-	underflow uint64
-	overflow  uint64
-	count     uint64
-}
-
-// NewHistogram creates a histogram with n equal-width buckets spanning
-// [lo, hi). It panics on a degenerate range or non-positive bucket count.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || !(hi > lo) {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, buckets: make([]uint64, n)}
-}
-
-// Add incorporates one observation.
-func (h *Histogram) Add(x float64) {
-	h.count++
-	switch {
-	case x < h.Lo:
-		h.underflow++
-	case x >= h.Hi:
-		h.overflow++
-	default:
-		i := int(float64(len(h.buckets)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i == len(h.buckets) { // x infinitesimally below Hi
-			i--
-		}
-		h.buckets[i]++
-	}
-}
-
-// Count returns the total number of observations, including out-of-range.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// Buckets returns the number of in-range buckets.
-func (h *Histogram) Buckets() int { return len(h.buckets) }
-
-// Underflow returns the count of observations below Lo.
-func (h *Histogram) Underflow() uint64 { return h.underflow }
-
-// Overflow returns the count of observations at or above Hi.
-func (h *Histogram) Overflow() uint64 { return h.overflow }
-
-// BucketBounds returns the [lo, hi) range of bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	w := (h.Hi - h.Lo) / float64(len(h.buckets))
-	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
-}
-
-// Mode returns the midpoint of the fullest bucket (ties resolve to the
-// lowest), or NaN when every in-range bucket is empty.
-func (h *Histogram) Mode() float64 {
-	best, bestCount := -1, uint64(0)
-	for i, c := range h.buckets {
-		if c > bestCount {
-			best, bestCount = i, c
-		}
-	}
-	if best < 0 {
-		return math.NaN()
-	}
-	lo, hi := h.BucketBounds(best)
-	return (lo + hi) / 2
-}
-
-// BatchMeans estimates a confidence interval for the mean of a correlated
-// stationary series (e.g. per-cycle throughput) by the method of
-// non-overlapping batch means: the series is divided into batches, each
-// batch mean is treated as one approximately independent observation.
-type BatchMeans struct {
-	batchSize int
-	current   Summary
-	batches   Summary
-}
-
-// NewBatchMeans creates an estimator with the given batch size.
-func NewBatchMeans(batchSize int) *BatchMeans {
-	if batchSize <= 0 {
-		panic("stats: batch size must be positive")
-	}
-	return &BatchMeans{batchSize: batchSize}
-}
-
-// Add incorporates one observation of the underlying series.
-func (b *BatchMeans) Add(x float64) {
-	b.current.Add(x)
-	if int(b.current.Count()) == b.batchSize {
-		b.batches.Add(b.current.Mean())
-		b.current.Reset()
-	}
-}
-
-// Batches returns the number of completed batches.
-func (b *BatchMeans) Batches() uint64 { return b.batches.Count() }
-
-// Mean returns the grand mean across completed batches.
-func (b *BatchMeans) Mean() float64 { return b.batches.Mean() }
-
-// CI95 returns the 95% half-width computed over batch means.
-func (b *BatchMeans) CI95() float64 { return b.batches.CI95() }
-
 // Series is an append-only time series of (x, y) points, used to build
 // the figure curves (throughput or latency versus injection rate). A
 // series built from replicated runs additionally carries the 95%

@@ -184,109 +184,6 @@ func TestQuantiler(t *testing.T) {
 	}
 }
 
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Count() != 8 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Underflow() != 1 || h.Overflow() != 2 {
-		t.Fatalf("under/over = %d/%d", h.Underflow(), h.Overflow())
-	}
-	if h.Bucket(0) != 2 { // 0 and 1.9
-		t.Fatalf("bucket0 = %d", h.Bucket(0))
-	}
-	if h.Bucket(1) != 1 || h.Bucket(2) != 1 || h.Bucket(4) != 1 {
-		t.Fatal("bucket placement wrong")
-	}
-	lo, hi := h.BucketBounds(2)
-	if lo != 4 || hi != 6 {
-		t.Fatalf("bounds(2) = [%v,%v)", lo, hi)
-	}
-	if h.Buckets() != 5 {
-		t.Fatal("buckets")
-	}
-}
-
-func TestHistogramMode(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	if !math.IsNaN(h.Mode()) {
-		t.Fatal("empty mode should be NaN")
-	}
-	h.Add(3.2)
-	h.Add(3.7)
-	h.Add(8.1)
-	if got := h.Mode(); got != 3.5 {
-		t.Fatalf("mode = %v, want 3.5", got)
-	}
-}
-
-func TestHistogramInvalidShapePanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 0, 5) },
-		func() { NewHistogram(5, 1, 5) },
-		func() { NewHistogram(0, 1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("invalid histogram did not panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-// Property: histogram never loses observations.
-func TestPropertyHistogramConservation(t *testing.T) {
-	f := func(xs []float64) bool {
-		h := NewHistogram(-5, 5, 7)
-		for _, x := range xs {
-			if math.IsNaN(x) {
-				continue
-			}
-			h.Add(x)
-		}
-		var inRange uint64
-		for i := 0; i < h.Buckets(); i++ {
-			inRange += h.Bucket(i)
-		}
-		return inRange+h.Underflow()+h.Overflow() == h.Count()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBatchMeans(t *testing.T) {
-	b := NewBatchMeans(10)
-	for i := 0; i < 105; i++ {
-		b.Add(float64(i % 10)) // each full batch has mean 4.5
-	}
-	if b.Batches() != 10 {
-		t.Fatalf("batches = %d, want 10", b.Batches())
-	}
-	if !almostEqual(b.Mean(), 4.5, 1e-12) {
-		t.Fatalf("grand mean = %v", b.Mean())
-	}
-	// All batch means identical: CI width 0.
-	if !almostEqual(b.CI95(), 0, 1e-12) {
-		t.Fatalf("CI = %v, want 0", b.CI95())
-	}
-}
-
-func TestBatchMeansInvalidSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("batch size 0 did not panic")
-		}
-	}()
-	NewBatchMeans(0)
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	s.Name = "ring"

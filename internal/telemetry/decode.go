@@ -2,9 +2,11 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Capture is a fully materialised telemetry stream: Samples() rows of
@@ -41,7 +43,7 @@ func Decode(r io.Reader) (*Capture, error) {
 	}
 	c := &Capture{spec: spec}
 	m := spec.Series()
-	payload := make([]byte, 0, 1<<16)
+	var payload bytes.Buffer
 	col := make([]uint64, spec.ChunkLen)
 	for {
 		plen, err := binary.ReadUvarint(br)
@@ -51,14 +53,17 @@ func Decode(r io.Reader) (*Capture, error) {
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: reading frame length: %w", err)
 		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
+		// The buffer grows with the bytes actually read, not with the
+		// length the frame claims.
+		payload.Reset()
+		n, err := payload.ReadFrom(io.LimitReader(br, int64(min(plen, math.MaxInt64))))
+		if err == nil && uint64(n) != plen {
+			err = io.ErrUnexpectedEOF
 		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("telemetry: reading %d-byte frame: %w", plen, err)
 		}
-		if err := c.decodeChunk(payload, m, col); err != nil {
+		if err := c.decodeChunk(payload.Bytes(), m, col); err != nil {
 			return nil, err
 		}
 	}
@@ -68,10 +73,13 @@ func Decode(r io.Reader) (*Capture, error) {
 // one decoded series.
 func (c *Capture) decodeChunk(p []byte, m int, col []uint64) error {
 	count, n := binary.Uvarint(p)
-	if n <= 0 || count == 0 || int(count) > c.spec.ChunkLen {
+	if n <= 0 || count == 0 || count > uint64(c.spec.ChunkLen) {
 		return fmt.Errorf("telemetry: bad chunk sample count %d", count)
 	}
 	p = p[n:]
+	if len(p) < m {
+		return fmt.Errorf("telemetry: %d-byte chunk cannot hold %d series", len(p), m)
+	}
 	cnt := int(count)
 	base := len(c.data)
 	c.data = append(c.data, make([]uint64, cnt*m)...)
@@ -94,10 +102,10 @@ func (c *Capture) decodeChunk(p []byte, m int, col []uint64) error {
 					return fmt.Errorf("telemetry: truncated zero run in series %d", s)
 				}
 				p = p[n:]
-				run := int(extra) + 1
-				if i+run > cnt {
-					return fmt.Errorf("telemetry: zero run of %d overflows chunk of %d in series %d", run, cnt, s)
+				if extra >= uint64(cnt-i) {
+					return fmt.Errorf("telemetry: zero run of %d+1 overflows chunk of %d in series %d", extra, cnt, s)
 				}
+				run := int(extra) + 1
 				for k := 0; k < run; k++ {
 					col[i] = v
 					i++

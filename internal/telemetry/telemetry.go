@@ -55,11 +55,21 @@ type Spec struct {
 	ChunkLen int
 }
 
+// Spec limits: far above any network the simulator builds (core
+// bounds it at 65536 nodes) and the default chunk length, they keep
+// Series from overflowing and bound what a corrupt capture header can
+// make Decode allocate per input byte.
+const (
+	MaxNodes    = 1 << 20
+	MaxLinks    = 1 << 22
+	MaxChunkLen = 1 << 12
+)
+
 // Series returns the number of parallel series M in a capture row.
 func (s Spec) Series() int { return 1 + 3*s.Nodes + s.Links }
 
 func (s Spec) validate() error {
-	if s.Nodes <= 0 || s.Links < 0 || s.ChunkLen <= 0 {
+	if s.Nodes <= 0 || s.Nodes > MaxNodes || s.Links < 0 || s.Links > MaxLinks || s.ChunkLen <= 0 || s.ChunkLen > MaxChunkLen {
 		return fmt.Errorf("telemetry: invalid spec %+v", s)
 	}
 	return nil

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -194,6 +195,28 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Decode(bytes.NewReader(raw[:4])); err == nil {
 		t.Error("short header decoded without error")
+	}
+	// Hostile header and frame fields are errors, not panics or
+	// allocations sized by the claim.
+	uv := func(b []byte, vals ...uint64) []byte {
+		for _, v := range vals {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	hdr := uv([]byte(Magic), 2, 2, 4)
+	hugeCount := uv(nil, 1<<63)
+	hugeRun := append(uv(nil, 4, 7, 0, 1<<63), make([]byte, 8)...)
+	for name, b := range map[string][]byte{
+		"series overflow":    uv([]byte(Magic), 1<<62, 1, 8),
+		"chunk length":       uv([]byte(Magic), 2, 2, MaxChunkLen+1),
+		"frame past the end": uv(hdr, 1<<63),
+		"sample count":       append(uv(hdr, uint64(len(hugeCount))), hugeCount...),
+		"zero run":           append(uv(hdr, uint64(len(hugeRun))), hugeRun...),
+	} {
+		if _, err := Decode(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
 	}
 }
 
